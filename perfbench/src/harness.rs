@@ -65,18 +65,66 @@ pub fn load_metrics(tr: &Tracer, bytes: usize, out: &mut Outcome) {
     out.add("lang.bytes", bytes as f64);
 }
 
+/// How often set-up is timed again during the measured pass, seconds.
+const SETUP_EVERY_S: f64 = 1.0;
+
+/// Set-up timings spread over the run: several at the start, then one
+/// about every [`SETUP_EVERY_S`] through the measured pass. A shared
+/// host changes speed for seconds at a time (by up to 1.5x on the 2-vCPU
+/// VM the benchmark was tuned on), so set-ups timed back to back all
+/// meet one speed; spread out, they meet the mix the rest of the run
+/// meets.
+pub struct SetupTimes<'s> {
+    again: Box<dyn FnMut() -> bool + 's>,
+    samples: Vec<f64>,
+    failed: u64,
+    last: Instant,
+}
+
+impl SetupTimes<'_> {
+    /// Times one more set-up if [`SETUP_EVERY_S`] has passed since the
+    /// last one; its result is dropped.
+    pub fn tick(&mut self) {
+        if self.last.elapsed().as_secs_f64() < SETUP_EVERY_S {
+            return;
+        }
+        let t0 = Instant::now();
+        if (self.again)() {
+            self.samples.push(t0.elapsed().as_secs_f64());
+        } else {
+            self.failed += 1;
+        }
+        self.last = Instant::now();
+    }
+
+    /// Sets `setup_s` to the median of the samples and counts every
+    /// timed set-up as a checked operation.
+    pub fn finish(self, out: &mut Outcome) {
+        let mut samples = self.samples;
+        out.note("setup_samples", samples.len());
+        for _ in 0..samples.len() {
+            out.check(true);
+        }
+        out.set("setup_s", median(&mut samples));
+        for _ in 0..self.failed {
+            out.check(false);
+        }
+    }
+}
+
 /// Runs `setup` `reps` times and keeps the last result; returns it with
-/// the median set-up time. Only the last repetition records spans.
+/// the set-up timer, which can run `setup` again later. Only the last of
+/// the first repetitions records spans.
 ///
 /// # Errors
 ///
 /// Returns the first set-up error.
-pub fn repeat_setup<T>(
+pub fn repeat_setup<'s, T>(
     reps: usize,
     tr: &mut Tracer,
-    mut setup: impl FnMut(&mut Tracer) -> Result<T, String>,
-) -> Result<(T, f64), String> {
-    let mut times = Vec::with_capacity(reps);
+    mut setup: impl FnMut(&mut Tracer) -> Result<T, String> + 's,
+) -> Result<(T, SetupTimes<'s>), String> {
+    let mut samples = Vec::with_capacity(reps);
     let mut last = None;
     for rep in 0..reps {
         drop(last.take());
@@ -84,14 +132,24 @@ pub fn repeat_setup<T>(
         let open = local.begin("bench.setup");
         let t0 = Instant::now();
         let value = setup(&mut local)?;
-        times.push(t0.elapsed().as_secs_f64());
+        samples.push(t0.elapsed().as_secs_f64());
         local.end(open);
         if rep + 1 == reps {
             tr.absorb(local);
         }
         last = Some(value);
     }
-    Ok((last.expect("reps >= 1"), median(&mut times)))
+    let again = move || {
+        let mut quiet = Tracer::new(false, Instant::now(), 0);
+        setup(&mut quiet).is_ok()
+    };
+    let times = SetupTimes {
+        again: Box::new(again),
+        samples,
+        failed: 0,
+        last: Instant::now(),
+    };
+    Ok((last.expect("reps >= 1"), times))
 }
 
 /// One timed operation.
@@ -150,7 +208,8 @@ pub fn run_rounds(
 /// peak resident set after it is the run's `peak_rss_mb` (every round
 /// runs the same inputs, so later rounds reach no higher, and the
 /// benchmark's own sample buffers, which grow with the run, stay out of
-/// it). Untraced: one pass of `params.seconds`. Traced: an untraced pass
+/// it). Untraced: one pass of `params.seconds`, with set-up timed again
+/// between rounds (outside every job's time). Traced: an untraced pass
 /// of half the time, then a traced pass over the same rounds; their
 /// wall-time difference is the tracing overhead. Returns the pass whose
 /// jobs carry the numbers to report.
@@ -159,6 +218,7 @@ pub fn measure(
     per_round: usize,
     tr: &mut Tracer,
     mut job: impl FnMut(&mut Tracer, usize, usize) -> JobOut,
+    setup: &mut SetupTimes<'_>,
     out: &mut Outcome,
 ) -> Pass {
     let mut quiet = Tracer::new(false, Instant::now(), 0);
@@ -167,6 +227,9 @@ pub fn measure(
     out.set("peak_rss_mb", peak_rss_mb());
     if !params.trace {
         let pass = run_rounds(per_round, params.seconds, None, |r, j| {
+            if j == 0 {
+                setup.tick();
+            }
             job(&mut quiet, r, j)
         });
         count(&pass, out);
@@ -197,40 +260,55 @@ fn count(pass: &Pass, out: &mut Outcome) {
     }
 }
 
-/// Windows a pass is cut into for its rates.
-pub const WINDOWS: usize = 5;
+/// Band of round-time percentiles whose mean the batch metrics are
+/// read from. A shared host changes speed for seconds to minutes at a
+/// time (by up to 1.5x on the 2-vCPU VM the benchmark was tuned on), and
+/// its slow and fast spells fall differently into each run. Any single
+/// percentile of round time jumped by up to a fifth between runs on some
+/// stretch of host behaviour (the median with the share of fast spells,
+/// the 90th percentile with the depth of the slowest one); the mean of
+/// the 50th to 90th percentile band moved least over every stretch
+/// recorded.
+pub const ROUND_BAND: (f64, f64) = (0.5, 0.9);
 
-/// The batch end-to-end metrics of an untraced pass. Rates are total
-/// work over total time within each of [`WINDOWS`] consecutive runs of
-/// rounds, and the median over windows is reported: a window's mean
-/// moves smoothly when host contention comes and goes, where a median
-/// over single rounds would jump between the contended and the
-/// uncontended speed. p50 is over every operation, p99 as in
-/// [`windowed_p99_ms`].
-pub fn batch_metrics(pass: &Pass, out: &mut Outcome) {
-    let per = pass.rounds.len().div_ceil(WINDOWS).max(1);
-    let mut sig_rates = Vec::new();
-    let mut op_rates = Vec::new();
-    for window in pass.rounds.chunks(per) {
-        let jobs = || window.iter().flatten();
-        let wall_s = jobs().map(|j| j.wall_ns).sum::<u64>() as f64 * 1e-9;
-        sig_rates.push(jobs().map(|j| j.signals).sum::<u64>() as f64 / wall_s);
-        op_rates.push(jobs().count() as f64 / wall_s);
+/// Mean of the sorted samples between the two percentiles of `band`
+/// (at least one sample); 0 for no samples.
+pub fn band_mean(sorted: &[u64], band: (f64, f64)) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0.0;
     }
-    let mut lat: Vec<u64> = pass.jobs().map(|j| j.wall_ns).collect();
-    out.set("p99_ms", windowed_p99_ms(&lat));
-    lat.sort_unstable();
-    out.set("signals_per_s", median(&mut sig_rates));
-    out.set("ops_per_s", median(&mut op_rates));
-    out.set("p50_ms", percentile(&lat, 0.50) as f64 * 1e-6);
-    out.note("ops", lat.len());
-    out.note("rounds", pass.rounds.len());
+    let lo = ((band.0 * n as f64) as usize).min(n - 1);
+    let hi = ((band.1 * n as f64) as usize).clamp(lo + 1, n);
+    sorted[lo..hi].iter().sum::<u64>() as f64 / (hi - lo) as f64
+}
+
+/// The batch end-to-end metrics of an untraced pass. A round runs every
+/// input of the workload once, so its time is the workload's latency:
+/// `latency_ms` is the [`ROUND_BAND`] mean of round time, and the rates
+/// are one round's signals and jobs over that time. The median and the
+/// tail of round time (`p50_ms`, `p99_ms`) go in the summary, unbounded.
+pub fn batch_metrics(pass: &Pass, out: &mut Outcome) {
+    let mut rounds: Vec<u64> = pass
+        .rounds
+        .iter()
+        .map(|r| r.iter().map(|j| j.wall_ns).sum())
+        .collect();
+    out.set("p99_ms", windowed_p99_ms(&rounds));
+    rounds.sort_unstable();
+    let round_s = band_mean(&rounds, ROUND_BAND) * 1e-9;
+    // Every round runs the same inputs.
+    let first = pass.rounds.first().map_or(&[][..], Vec::as_slice);
+    let signals: u64 = first.iter().map(|j| j.signals).sum();
+    out.set("latency_ms", round_s * 1e3);
+    out.set("signals_per_s", signals as f64 / round_s);
+    out.set("ops_per_s", first.len() as f64 / round_s);
+    out.set("p50_ms", percentile(&rounds, 0.5) as f64 * 1e-6);
+    out.note("rounds", rounds.len());
     out.note(
-        "window_ops_per_s",
-        op_rates
-            .iter()
-            .map(|r| format!("{r:.1}"))
-            .collect::<Vec<_>>()
+        "round_ms_p10_p50_p75_p90",
+        [0.1, 0.5, 0.75, 0.9]
+            .map(|p| format!("{:.3}", percentile(&rounds, p) as f64 * 1e-6))
             .join(" "),
     );
 }
@@ -347,6 +425,15 @@ mod tests {
     }
 
     #[test]
+    fn band_mean_averages_the_band() {
+        let v: Vec<u64> = (1..=10).collect();
+        // The 50th to 90th percentile band of 1..=10 is 6, 7, 8, 9.
+        assert_eq!(band_mean(&v, (0.5, 0.9)), 7.5);
+        assert_eq!(band_mean(&[4], (0.5, 0.9)), 4.0);
+        assert_eq!(band_mean(&[], (0.5, 0.9)), 0.0);
+    }
+
+    #[test]
     fn rounds_complete_and_respect_counts() {
         let pass = run_rounds(3, 0.0, Some(4), |_, _| JobOut {
             wall_ns: 10,
@@ -360,5 +447,6 @@ mod tests {
         // 15 signals and 3 jobs per 30 ns round.
         assert!((out.metrics["signals_per_s"] - 5.0e8).abs() < 1.0);
         assert!((out.metrics["ops_per_s"] - 1.0e8).abs() < 1.0);
+        assert!((out.metrics["latency_ms"] - 3.0e-5).abs() < 1e-12);
     }
 }

@@ -193,9 +193,8 @@ fn setup(params: &Params, tr: &mut Tracer) -> Result<(Vec<Model>, Vec<Partition>
 pub fn run(params: &Params) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     let mut tr = Tracer::new(params.trace, Instant::now(), 0);
-    let ((mut models, mut partitions), setup_s) =
+    let ((mut models, mut partitions), mut setup) =
         harness::repeat_setup(7, &mut tr, |t| setup(params, t))?;
-    out.set("setup_s", setup_s);
 
     // The model trace each partition must reproduce: the abstract model
     // run, itself checked against the closed-form expectation.
@@ -242,8 +241,10 @@ pub fn run(params: &Params) -> Result<Outcome, String> {
                 ok,
             }
         },
+        &mut setup,
         &mut out,
     );
+    setup.finish(&mut out);
 
     if params.trace {
         let bytes = models.iter().map(|m| m.case.text.len()).sum();
