@@ -7,6 +7,10 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
+# The benchmark package links the program's crates through their public
+# APIs; its tests catch an API change that would break it here rather
+# than only in the benchmark pipeline.
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 # Lint gate: every shipped model must be free of deny-level (error)
 # diagnostics. Warnings are allowed — some shipped models demonstrate

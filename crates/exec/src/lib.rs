@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
+mod mailbox;
 pub mod sched;
 pub mod shard;
 pub mod sim;

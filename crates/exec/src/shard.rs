@@ -42,8 +42,12 @@
 //! (`delete`/`relate`/`unrelate`) and irreconcilable non-self access
 //! still reject — the latter as diagnostic `X0017 cross-shard-race`.
 
+use crate::mailbox::Mailboxes;
 use crate::sched::{SchedPolicy, SplitMix64};
-use crate::sim::{DispatchTable, Engine, Exec, PayloadPool, Simulation, Slot, SpanNames};
+use crate::sim::{
+    snap_read_mail, snap_write_mail, DispatchTable, Engine, Envelope, Exec, PayloadPool,
+    Simulation, Slot, SpanNames,
+};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
@@ -97,27 +101,6 @@ pub fn shard_safety(domain: &Domain) -> Result<()> {
 // ---------------------------------------------------------------------------
 // The sharded engine
 // ---------------------------------------------------------------------------
-
-/// A queued signal inside a shard (mirror of the sequential envelope).
-#[derive(Debug, Clone)]
-struct Envelope {
-    from: Option<InstId>,
-    event: EventId,
-    args: Arc<[Value]>,
-    seq: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-struct InstQueues {
-    self_q: VecDeque<Envelope>,
-    main_q: VecDeque<Envelope>,
-}
-
-impl InstQueues {
-    fn is_empty(&self) -> bool {
-        self.self_q.is_empty() && self.main_q.is_empty()
-    }
-}
 
 /// A cross-shard signal buffered until the epoch barrier.
 #[derive(Debug, Clone)]
@@ -182,10 +165,9 @@ struct ShardState {
     /// replica id spaces may diverge in length — created ids never
     /// escape their shard.
     store: ObjectStore,
-    queues: Vec<InstQueues>,
-    /// Ready local instances, sorted ascending by id.
-    ready: Vec<InstId>,
-    in_ready: Vec<bool>,
+    /// Signal queues over the replica's id space; the ready list holds
+    /// local instances only, ascending by id.
+    mail: Mailboxes<Envelope>,
     rng: SplitMix64,
     /// Per-shard send counter; globalised as `local*nshards + id` so
     /// sequence numbers stay strictly increasing per sending shard
@@ -241,29 +223,9 @@ impl ShardState {
     }
 
     fn enqueue(&mut self, to: InstId, env: Envelope) {
-        let is_self = self.self_priority && env.from == Some(to);
-        let q = &mut self.queues[to.index()];
-        if is_self {
-            q.self_q.push_back(env);
-        } else {
-            q.main_q.push_back(env);
-        }
-        if !self.in_ready[to.index()] {
-            self.in_ready[to.index()] = true;
-            let at = self.ready.partition_point(|&r| r < to);
-            self.ready.insert(at, to);
-        }
+        self.mail.push(to, env.is_self(to, self.self_priority), env);
         if let Some(r) = self.obs.as_mut() {
-            r.gauge_max(Gauge::ReadySetMax, self.ready.len() as u64);
-        }
-    }
-
-    fn pop_envelope(&mut self, inst: InstId) -> Envelope {
-        let q = &mut self.queues[inst.index()];
-        if !q.self_q.is_empty() {
-            q.self_q.pop_front().expect("checked nonempty")
-        } else {
-            q.main_q.pop_front().expect("ready instance has a signal")
+            r.gauge_max(Gauge::ReadySetMax, self.mail.ready().len() as u64);
         }
     }
 
@@ -310,7 +272,7 @@ impl ShardState {
         table: &DispatchTable,
         spans: Option<&SpanNames>,
     ) -> Result<()> {
-        while !self.ready.is_empty() {
+        while !self.mail.ready().is_empty() {
             if self.dispatches >= self.step_budget {
                 if let Some(r) = self.obs.as_mut() {
                     r.count(Counter::BudgetExhausted, 1);
@@ -320,29 +282,18 @@ impl ShardState {
                     self.max_steps
                 )));
             }
-            let pick = self.ready[self.rng.below(self.ready.len())];
+            let ready = self.mail.ready();
+            let pick = ready[self.rng.below(ready.len())];
             // Same-instance batch (superloop): nothing is delivered
             // mid-epoch and shards never delete, so while `pick` stays
             // the only ready instance the next draw must re-select it —
-            // drain its queues without re-entering ready-set
-            // bookkeeping, consuming one PRNG draw per signal to keep
-            // the stream identical.
+            // drain its queues in a tight loop, consuming one PRNG draw
+            // per signal to keep the stream identical.
             loop {
-                let env = self.pop_envelope(pick);
-                let drained = self.queues[pick.index()].is_empty();
-                if drained {
-                    self.in_ready[pick.index()] = false;
-                    let at = self.ready.partition_point(|&r| r < pick);
-                    debug_assert_eq!(self.ready.get(at), Some(&pick));
-                    self.ready.remove(at);
-                }
+                let env = self.mail.pop(pick).expect("ready instance has a signal");
                 self.dispatch(domain, program, table, spans, pick, env)?;
                 self.dispatches += 1;
-                if drained
-                    || self.ready.len() != 1
-                    || self.ready[0] != pick
-                    || self.dispatches >= self.step_budget
-                {
+                if self.mail.ready() != [pick] || self.dispatches >= self.step_budget {
                     break;
                 }
                 self.rng.below(1); // the draw a re-pick would consume
@@ -561,9 +512,7 @@ impl ActionHost for ShardHost<'_, '_> {
         let inst = s
             .store
             .create_with_id(self.domain, class, InstId::new(want as u32));
-        let space = s.store.id_space();
-        s.queues.resize_with(space, InstQueues::default);
-        s.in_ready.resize(space, false);
+        s.mail.grow_to(s.store.id_space());
         if let Some(r) = s.obs.as_mut() {
             r.count(Counter::InstancesCreated, 1);
             r.gauge_max(Gauge::LiveInstancesMax, s.store.live_count() as u64);
@@ -1101,11 +1050,7 @@ impl<'d> ShardedSimulation<'d> {
                     id,
                     nshards,
                     store: self.store.clone(),
-                    queues: (0..self.store_len())
-                        .map(|_| InstQueues::default())
-                        .collect(),
-                    ready: Vec::new(),
-                    in_ready: vec![false; self.store_len()],
+                    mail: Mailboxes::with_len(self.store_len()),
                     // stream_seed even for shard 0: stream_seed(base, 0)
                     // != base, so a sharded run never replays the
                     // unsharded schedule by accident.
@@ -1199,7 +1144,7 @@ impl<'d> ShardedSimulation<'d> {
             }
 
             // 2. If nothing is ready anywhere, jump time or quiesce.
-            if st.shards.iter().all(|s| s.ready.is_empty()) {
+            if st.shards.iter().all(|s| s.mail.ready().is_empty()) {
                 let next = st
                     .timers
                     .iter()
@@ -1495,15 +1440,7 @@ impl<'d> ShardedSimulation<'d> {
                     debug_assert!(s.trace.is_empty() && s.outbox.is_empty());
                     debug_assert!(s.new_timers.is_empty() && s.cancels.is_empty());
                     s.store.snap_write(&mut w);
-                    w.len(s.queues.len());
-                    for q in &s.queues {
-                        for half in [&q.self_q, &q.main_q] {
-                            w.len(half.len());
-                            for e in half {
-                                snap_write_env(&mut w, e);
-                            }
-                        }
-                    }
+                    snap_write_mail(&mut w, &s.mail);
                     w.u64(s.rng.state());
                     w.u64(s.local_seq);
                     match s.obs.as_ref() {
@@ -1625,17 +1562,7 @@ impl<'d> ShardedSimulation<'d> {
                         store.id_space()
                     )));
                 }
-                let mut queues = Vec::with_capacity(nq);
-                for _ in 0..nq {
-                    let mut q = InstQueues::default();
-                    for half in [&mut q.self_q, &mut q.main_q] {
-                        let n = r.len(10)?;
-                        for _ in 0..n {
-                            half.push_back(snap_read_env(&mut r)?);
-                        }
-                    }
-                    queues.push(q);
-                }
+                let mail = snap_read_mail(&mut r, nq)?;
                 let rng = SplitMix64::from_state(r.u64()?);
                 let local_seq = r.u64()?;
                 let obs = if r.bool()? {
@@ -1653,23 +1580,11 @@ impl<'d> ShardedSimulation<'d> {
                 } else {
                     None
                 };
-                // Ready sets are derived state: exactly the instances
-                // with a non-empty queue, ascending by id.
-                let mut in_ready = vec![false; nq];
-                let mut ready = Vec::new();
-                for (i, q) in queues.iter().enumerate() {
-                    if !q.is_empty() {
-                        in_ready[i] = true;
-                        ready.push(InstId::new(i as u32));
-                    }
-                }
                 shards.push(ShardState {
                     id,
                     nshards,
                     store,
-                    queues,
-                    ready,
-                    in_ready,
+                    mail,
                     rng,
                     local_seq,
                     trace: Trace::new(),
@@ -1702,22 +1617,6 @@ impl<'d> ShardedSimulation<'d> {
         r.expect_end()?;
         Ok(sim)
     }
-}
-
-fn snap_write_env(w: &mut snapshot::Writer, e: &Envelope) {
-    snapshot::write_opt_inst(w, e.from);
-    w.u32(u32::from(e.event));
-    w.u64(e.seq);
-    snapshot::write_values(w, &e.args);
-}
-
-fn snap_read_env(r: &mut snapshot::Reader<'_>) -> SnapResult<Envelope> {
-    Ok(Envelope {
-        from: snapshot::read_opt_inst(r)?,
-        event: EventId::new(r.u32()?),
-        seq: r.u64()?,
-        args: snapshot::read_values(r)?,
-    })
 }
 
 fn snap_write_stim(w: &mut snapshot::Writer, s: &PendingStimulus) {

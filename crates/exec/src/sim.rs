@@ -12,10 +12,12 @@
 //! The dispatch hot path is allocation-light by design: state actions are
 //! pre-compiled to slot-resolved code ([`CompiledProgram`]) at
 //! construction, the set of ready instances is maintained incrementally
-//! instead of rescanned per step, signal payloads are shared
+//! by the [`Mailboxes`] instead of rescanned per step, queued signals
+//! live in one recycled node slab, signal payloads are shared
 //! (`Arc<[Value]>`) rather than cloned per delivery, and one frame buffer
 //! is recycled across dispatches.
 
+use crate::mailbox::Mailboxes;
 use crate::sched::{SchedPolicy, SplitMix64};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
@@ -32,27 +34,23 @@ use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
 
-/// A queued signal. Argument payloads are reference-counted so fan-out
-/// (timers, stimuli, trace records) shares one allocation.
+/// A queued signal, in both schedulers' mailboxes. Argument payloads
+/// are reference-counted so fan-out (timers, stimuli, trace records)
+/// shares one allocation.
 #[derive(Debug, Clone)]
-struct Envelope {
-    from: Option<InstId>,
-    event: EventId,
-    args: Arc<[Value]>,
-    seq: u64,
+pub(crate) struct Envelope {
+    pub(crate) from: Option<InstId>,
+    pub(crate) event: EventId,
+    pub(crate) args: Arc<[Value]>,
+    pub(crate) seq: u64,
 }
 
-/// Per-instance signal queues. Self-directed signals have their own queue
-/// so they can be consumed with priority.
-#[derive(Debug, Clone, Default)]
-struct InstQueues {
-    self_q: VecDeque<Envelope>,
-    main_q: VecDeque<Envelope>,
-}
-
-impl InstQueues {
-    fn is_empty(&self) -> bool {
-        self.self_q.is_empty() && self.main_q.is_empty()
+impl Envelope {
+    /// True if the envelope belongs in `to`'s self queue: a signal `to`
+    /// sent to itself, under the self-priority rule.
+    #[inline]
+    pub(crate) fn is_self(&self, to: InstId, self_priority: bool) -> bool {
+        self_priority && self.from == Some(to)
     }
 }
 
@@ -382,13 +380,9 @@ pub struct Simulation<'d> {
     /// attaches.
     spans: Option<SpanNames>,
     store: ObjectStore,
-    queues: Vec<InstQueues>,
-    /// Instances with at least one queued signal, kept sorted ascending by
-    /// id so the scheduler's random pick indexes the same candidate list
-    /// the old per-step scan produced.
-    ready: Vec<InstId>,
-    /// Membership mirror of `ready`, indexed by instance.
-    in_ready: Vec<bool>,
+    /// Per-instance signal queues and the ascending ready list the
+    /// scheduler's random pick indexes.
+    mail: Mailboxes<Envelope>,
     timers: Vec<TimerEntry>,
     /// Pending external stimuli, kept sorted ascending by `(time, seq)`.
     /// Injection is overwhelmingly in time order, so maintaining the
@@ -447,9 +441,7 @@ impl<'d> Simulation<'d> {
             table,
             spans: None,
             store: ObjectStore::new(domain.associations.len()),
-            queues: Vec::new(),
-            ready: Vec::new(),
-            in_ready: Vec::new(),
+            mail: Mailboxes::with_len(0),
             timers: Vec::new(),
             stimuli: VecDeque::new(),
             now: 0,
@@ -724,29 +716,23 @@ impl<'d> Simulation<'d> {
     /// dispatch advances `now` and can make the front due.
     fn superloop(&mut self, budget: u64, steps: &mut u64) -> Result<()> {
         while *steps < budget
-            && !self.ready.is_empty()
+            && !self.mail.ready().is_empty()
             && self.timers.is_empty()
             && self.stimuli.front().is_none_or(|s| s.time > self.now)
         {
-            let pick = self.ready[self.rng.below(self.ready.len())];
+            let pick = self.pick();
             // Same-instance batch: drain `pick`'s queues in a tight
-            // inner loop without re-entering ready-set bookkeeping,
-            // for as long as it provably remains the only candidate.
+            // inner loop, for as long as it provably remains the only
+            // candidate.
             loop {
                 let env = self.pop_envelope(pick);
-                let drained = self.queues[pick.index()].is_empty();
-                if drained {
-                    self.unmark_ready(pick);
-                }
                 self.dispatch(pick, env)?;
                 self.now += 1;
                 *steps += 1;
                 if *steps >= budget
-                    || drained
                     || !self.timers.is_empty()
                     || self.stimuli.front().is_some_and(|s| s.time <= self.now)
-                    || self.ready.len() != 1
-                    || self.ready[0] != pick
+                    || self.mail.ready() != [pick]
                 {
                     break;
                 }
@@ -815,7 +801,7 @@ impl<'d> Simulation<'d> {
             if !self.timers.is_empty() || !self.stimuli.is_empty() {
                 self.deliver_due();
             }
-            if self.ready.is_empty() {
+            if self.mail.ready().is_empty() {
                 // Jump to the next timer/stimulus moment, if any.
                 let next = self
                     .timers
@@ -832,11 +818,8 @@ impl<'d> Simulation<'d> {
                     None => return Ok(false),
                 }
             }
-            let pick = self.ready[self.rng.below(self.ready.len())];
+            let pick = self.pick();
             let env = self.pop_envelope(pick);
-            if self.queues[pick.index()].is_empty() {
-                self.unmark_ready(pick);
-            }
             self.dispatch(pick, env)?;
             self.now += 1;
             return Ok(true);
@@ -933,68 +916,28 @@ impl<'d> Simulation<'d> {
         }
     }
 
+    /// Only live instances reach here: every enqueue path checks
+    /// liveness first, and deletion clears the mailbox.
     fn enqueue(&mut self, to: InstId, env: Envelope) {
-        let is_self = self.policy.self_priority && env.from == Some(to);
-        let q = &mut self.queues[to.index()];
-        if is_self {
-            q.self_q.push_back(env);
-        } else {
-            q.main_q.push_back(env);
-        }
-        self.mark_ready(to);
+        self.mail
+            .push(to, env.is_self(to, self.policy.self_priority), env);
     }
 
-    /// Inserts `inst` into the sorted ready list if not already present.
-    /// Only live instances reach here: every enqueue path checks liveness
-    /// first, and deletion clears the queues and unmarks.
-    fn mark_ready(&mut self, inst: InstId) {
-        if !self.in_ready[inst.index()] {
-            self.in_ready[inst.index()] = true;
-            let at = self.ready.partition_point(|&r| r < inst);
-            self.ready.insert(at, inst);
-        }
-    }
-
-    fn unmark_ready(&mut self, inst: InstId) {
-        if self.in_ready[inst.index()] {
-            self.in_ready[inst.index()] = false;
-            let at = self.ready.partition_point(|&r| r < inst);
-            debug_assert_eq!(self.ready.get(at), Some(&inst));
-            self.ready.remove(at);
-        }
+    /// The scheduler's draw over the ready list (nonempty).
+    fn pick(&mut self) -> InstId {
+        let ready = self.mail.ready();
+        ready[self.rng.below(ready.len())]
     }
 
     fn pop_envelope(&mut self, inst: InstId) -> Envelope {
-        // Decide any random index *before* borrowing the queue mutably.
-        let (self_len, main_len) = {
-            let q = &self.queues[inst.index()];
-            (q.self_q.len(), q.main_q.len())
-        };
-        let q_idx = if !self.policy.pair_order {
-            // Ablation: pick a random position instead of the front.
-            let total = self_len + main_len;
-            Some(self.rng.below(total))
+        let env = if self.policy.pair_order {
+            self.mail.pop(inst)
         } else {
-            None
+            // Ablation: pick a random position instead of the front.
+            let k = self.rng.below(self.mail.len(inst));
+            self.mail.remove_at(inst, k)
         };
-        let q = &mut self.queues[inst.index()];
-        match q_idx {
-            Some(k) => {
-                if k < q.self_q.len() {
-                    q.self_q.remove(k).expect("index checked")
-                } else {
-                    let k = k - q.self_q.len();
-                    q.main_q.remove(k).expect("index checked")
-                }
-            }
-            None => {
-                if !q.self_q.is_empty() {
-                    q.self_q.pop_front().expect("checked nonempty")
-                } else {
-                    q.main_q.pop_front().expect("ready instance has a signal")
-                }
-            }
-        }
+        env.expect("ready instance has a signal")
     }
 
     fn dispatch(&mut self, inst: InstId, env: Envelope) -> Result<()> {
@@ -1190,15 +1133,7 @@ impl<'d> Simulation<'d> {
         w.u64(self.max_steps);
         w.u64(self.rng.state());
         self.store.snap_write(&mut w);
-        w.len(self.queues.len());
-        for q in &self.queues {
-            for half in [&q.self_q, &q.main_q] {
-                w.len(half.len());
-                for e in half {
-                    snap_write_env(&mut w, e);
-                }
-            }
-        }
+        snap_write_mail(&mut w, &self.mail);
         w.len(self.timers.len());
         for t in &self.timers {
             w.u64(t.deadline);
@@ -1282,17 +1217,7 @@ impl<'d> Simulation<'d> {
                 sim.store.id_space()
             )));
         }
-        sim.queues = Vec::with_capacity(nq);
-        for _ in 0..nq {
-            let mut q = InstQueues::default();
-            for half in [&mut q.self_q, &mut q.main_q] {
-                let n = r.len(10)?;
-                for _ in 0..n {
-                    half.push_back(snap_read_env(&mut r)?);
-                }
-            }
-            sim.queues.push(q);
-        }
+        sim.mail = snap_read_mail(&mut r, nq)?;
         let nt = r.len(30)?;
         sim.timers = Vec::with_capacity(nt);
         for _ in 0..nt {
@@ -1331,33 +1256,51 @@ impl<'d> Simulation<'d> {
             sim.obs = Some(Box::new(rec));
         }
         r.expect_end()?;
-        // The ready set is derived state: exactly the instances with a
-        // non-empty queue, ascending by id (the sorted-list invariant).
-        sim.in_ready = vec![false; sim.queues.len()];
-        for (i, q) in sim.queues.iter().enumerate() {
-            if !q.is_empty() {
-                sim.in_ready[i] = true;
-                sim.ready.push(InstId::new(i as u32));
-            }
-        }
         Ok(sim)
     }
 }
 
-fn snap_write_env(w: &mut snapshot::Writer, e: &Envelope) {
-    snapshot::write_opt_inst(w, e.from);
-    w.u32(u32::from(e.event));
-    w.u64(e.seq);
-    snapshot::write_values(w, &e.args);
+/// Writes every mailbox, in id order: the self queue, then the main
+/// queue, each as a length and its envelopes front first.
+pub(crate) fn snap_write_mail(w: &mut snapshot::Writer, mail: &Mailboxes<Envelope>) {
+    w.len(mail.id_space());
+    for i in 0..mail.id_space() {
+        let inst = InstId::new(i as u32);
+        for to_self in [true, false] {
+            w.len(mail.iter(inst, to_self).count());
+            for e in mail.iter(inst, to_self) {
+                snapshot::write_opt_inst(w, e.from);
+                w.u32(u32::from(e.event));
+                w.u64(e.seq);
+                snapshot::write_values(w, &e.args);
+            }
+        }
+    }
 }
 
-fn snap_read_env(r: &mut snapshot::Reader<'_>) -> SnapResult<Envelope> {
-    Ok(Envelope {
-        from: snapshot::read_opt_inst(r)?,
-        event: EventId::new(r.u32()?),
-        seq: r.u64()?,
-        args: snapshot::read_values(r)?,
-    })
+/// Reads `n` mailboxes written by [`snap_write_mail`] after its length
+/// prefix, which the caller has read and checked; the ready list is
+/// rebuilt by the pushes.
+pub(crate) fn snap_read_mail(
+    r: &mut snapshot::Reader<'_>,
+    n: usize,
+) -> SnapResult<Mailboxes<Envelope>> {
+    let mut mail = Mailboxes::with_len(n);
+    for i in 0..n {
+        let inst = InstId::new(i as u32);
+        for to_self in [true, false] {
+            for _ in 0..r.len(10)? {
+                let env = Envelope {
+                    from: snapshot::read_opt_inst(r)?,
+                    event: EventId::new(r.u32()?),
+                    seq: r.u64()?,
+                    args: snapshot::read_values(r)?,
+                };
+                mail.push(inst, to_self, env);
+            }
+        }
+    }
+    Ok(mail)
 }
 
 impl ActionHost for Simulation<'_> {
@@ -1367,9 +1310,7 @@ impl ActionHost for Simulation<'_> {
 
     fn create(&mut self, class: ClassId) -> Result<InstId> {
         let inst = self.store.create(self.domain, class);
-        self.queues.push(InstQueues::default());
-        self.in_ready.push(false);
-        debug_assert_eq!(self.queues.len() - 1, inst.index());
+        self.mail.grow_to(inst.index() + 1);
         if let Some(o) = self.obs.as_mut() {
             o.count(Counter::InstancesCreated, 1);
             o.gauge_max(Gauge::LiveInstancesMax, self.store.live_count() as u64);
@@ -1380,8 +1321,7 @@ impl ActionHost for Simulation<'_> {
 
     fn delete(&mut self, inst: InstId) -> Result<()> {
         self.store.delete(inst)?;
-        self.queues[inst.index()] = InstQueues::default();
-        self.unmark_ready(inst);
+        self.mail.clear(inst);
         self.timers.retain(|t| t.to != inst);
         if let Some(o) = self.obs.as_mut() {
             o.count(Counter::InstancesDeleted, 1);
@@ -1464,7 +1404,7 @@ impl ActionHost for Simulation<'_> {
             if from == to {
                 o.count(Counter::SelfSignals, 1);
             }
-            o.gauge_max(Gauge::ReadySetMax, self.ready.len() as u64);
+            o.gauge_max(Gauge::ReadySetMax, self.mail.ready().len() as u64);
         }
         Ok(())
     }

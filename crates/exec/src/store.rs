@@ -15,8 +15,10 @@ use xtuml_core::value::Value;
 #[derive(Debug, Clone)]
 struct Instance {
     class: ClassId,
-    attrs: Vec<Value>,
     state: StateId,
+    /// The instance's attribute slots are `vals[base..base + len]`.
+    base: u32,
+    len: u32,
     alive: bool,
     /// True for a placeholder standing in for an instance owned by the
     /// other partition: navigable and addressable, but with no attribute
@@ -24,13 +26,34 @@ struct Instance {
     proxy: bool,
 }
 
+impl Instance {
+    /// A live, non-proxy instance of `class` in state 0 that owns no
+    /// attribute slots.
+    fn slotless(class: ClassId) -> Instance {
+        Instance {
+            class,
+            state: StateId::default(),
+            base: 0,
+            len: 0,
+            alive: true,
+            proxy: false,
+        }
+    }
+}
+
 /// Objects, attributes and links for some subset of a domain's classes.
 ///
 /// Instance ids are dense and never reused; deleted instances leave a
 /// tombstone so dangling references are detected, not misinterpreted.
+/// Every attribute slot lives in one arena (`vals`), so cloning a store
+/// costs a few allocations however many instances it holds.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     instances: Vec<Instance>,
+    /// The attribute arena, in instance creation order. Padding
+    /// tombstones and proxies own no slots; deleted instances keep
+    /// theirs (snapshots record them).
+    vals: Vec<Value>,
     /// Links per association, in creation order.
     links: Vec<Vec<(InstId, InstId)>>,
 }
@@ -40,6 +63,7 @@ impl ObjectStore {
     pub fn new(assoc_count: usize) -> ObjectStore {
         ObjectStore {
             instances: Vec::new(),
+            vals: Vec::new(),
             links: vec![Vec::new(); assoc_count],
         }
     }
@@ -48,7 +72,9 @@ impl ObjectStore {
     /// the class's initial state (or state 0 for passive classes).
     pub fn create(&mut self, domain: &Domain, class: ClassId) -> InstId {
         let c = domain.class(class);
-        let attrs = c.attributes.iter().map(|a| a.default.clone()).collect();
+        let base = u32::try_from(self.vals.len()).expect("attribute arena exceeds u32 slots");
+        self.vals
+            .extend(c.attributes.iter().map(|a| a.default.clone()));
         let state = c
             .state_machine
             .as_ref()
@@ -56,8 +82,9 @@ impl ObjectStore {
             .unwrap_or_default();
         self.instances.push(Instance {
             class,
-            attrs,
             state,
+            base,
+            len: c.attributes.len() as u32,
             alive: true,
             proxy: false,
         });
@@ -84,11 +111,8 @@ impl ObjectStore {
         );
         while self.instances.len() < want.index() {
             self.instances.push(Instance {
-                class,
-                attrs: Vec::new(),
-                state: StateId::default(),
                 alive: false,
-                proxy: false,
+                ..Instance::slotless(class)
             });
         }
         let inst = self.create(domain, class);
@@ -106,11 +130,8 @@ impl ObjectStore {
     /// without owning attributes. The proxy has no attribute slots.
     pub fn create_proxy(&mut self, class: ClassId) -> InstId {
         self.instances.push(Instance {
-            class,
-            attrs: Vec::new(),
-            state: StateId::default(),
-            alive: true,
             proxy: true,
+            ..Instance::slotless(class)
         });
         InstId::new(self.instances.len() as u32 - 1)
     }
@@ -140,6 +161,23 @@ impl ObjectStore {
             ))),
             None => Err(CoreError::runtime(format!("unknown instance {inst}"))),
         }
+    }
+
+    /// The arena index of a live instance's attribute slot.
+    #[inline]
+    fn slot(&self, inst: InstId, attr: AttrId) -> Result<usize> {
+        let i = self.get(inst)?;
+        if attr.index() < i.len as usize {
+            Ok(i.base as usize + attr.index())
+        } else {
+            Err(CoreError::runtime(format!(
+                "instance {inst} has no attribute slot {attr} (cross-partition access?)"
+            )))
+        }
+    }
+
+    fn slots(&self, i: &Instance) -> &[Value] {
+        &self.vals[i.base as usize..][..i.len as usize]
     }
 
     /// Deletes an instance and all links touching it.
@@ -211,12 +249,7 @@ impl ObjectStore {
     /// attributes).
     #[inline]
     pub fn attr_read(&self, inst: InstId, attr: AttrId) -> Result<Value> {
-        let i = self.get(inst)?;
-        i.attrs.get(attr.index()).cloned().ok_or_else(|| {
-            CoreError::runtime(format!(
-                "instance {inst} has no attribute slot {attr} (cross-partition access?)"
-            ))
-        })
+        Ok(self.vals[self.slot(inst, attr)?].clone())
     }
 
     /// Writes an attribute slot, enforcing the declared type.
@@ -242,16 +275,9 @@ impl ObjectStore {
                 value.data_type()
             )));
         }
-        let i = self.get_mut(inst)?;
-        match i.attrs.get_mut(attr.index()) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(CoreError::runtime(format!(
-                "instance {inst} has no attribute slot {attr} (cross-partition access?)"
-            ))),
-        }
+        let k = self.slot(inst, attr)?;
+        self.vals[k] = value;
+        Ok(())
     }
 
     /// [`ObjectStore::attr_write`] for a value whose type the caller has
@@ -264,16 +290,9 @@ impl ObjectStore {
     /// Fails on dangling references or missing slots.
     #[inline]
     pub fn attr_write_typed(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
-        let i = self.get_mut(inst)?;
-        match i.attrs.get_mut(attr.index()) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(CoreError::runtime(format!(
-                "instance {inst} has no attribute slot {attr} (cross-partition access?)"
-            ))),
-        }
+        let k = self.slot(inst, attr)?;
+        self.vals[k] = value;
+        Ok(())
     }
 
     /// All live, locally-owned instances of `class`, in creation order,
@@ -400,8 +419,8 @@ impl ObjectStore {
             w.u32(u32::from(i.state));
             w.bool(i.alive);
             w.bool(i.proxy);
-            w.len(i.attrs.len());
-            for a in &i.attrs {
+            w.len(i.len as usize);
+            for a in self.slots(i) {
                 crate::snapshot::write_value(w, a);
             }
         }
@@ -422,20 +441,25 @@ impl ObjectStore {
     ) -> crate::snapshot::SnapResult<ObjectStore> {
         let n = r.len(11)?;
         let mut instances = Vec::with_capacity(n);
+        let mut vals = Vec::new();
+        let too_big =
+            || crate::snapshot::SnapError::Corrupt("attribute arena exceeds u32 slots".into());
         for _ in 0..n {
             let class = ClassId::new(r.u32()?);
             let state = StateId::new(r.u32()?);
             let alive = r.bool()?;
             let proxy = r.bool()?;
             let na = r.len(1)?;
-            let mut attrs = Vec::with_capacity(na);
+            let base = u32::try_from(vals.len()).map_err(|_| too_big())?;
+            let len = u32::try_from(na).map_err(|_| too_big())?;
             for _ in 0..na {
-                attrs.push(crate::snapshot::read_value(r)?);
+                vals.push(crate::snapshot::read_value(r)?);
             }
             instances.push(Instance {
                 class,
-                attrs,
                 state,
+                base,
+                len,
                 alive,
                 proxy,
             });
@@ -450,7 +474,11 @@ impl ObjectStore {
             }
             links.push(pairs);
         }
-        Ok(ObjectStore { instances, links })
+        Ok(ObjectStore {
+            instances,
+            vals,
+            links,
+        })
     }
 
     /// Removes a link.
@@ -653,6 +681,96 @@ mod tests {
         s.delete(b1).unwrap();
         assert_eq!(s.first_instance_of(ClassId::new(1)), Some(b2));
         assert!(s.related_iter(b1, r1).is_err());
+    }
+
+    #[test]
+    fn padding_and_proxies_take_no_arena_slots() {
+        let d = domain();
+        let mut s = ObjectStore::new(d.associations.len());
+        s.create(&d, ClassId::new(0));
+        let b = s.create_with_id(&d, ClassId::new(1), InstId::new(5));
+        let p = s.create_proxy(ClassId::new(0));
+        assert_eq!(s.id_space(), 7);
+        // One slot each for the two real instances; none for the four
+        // padding tombstones or the proxy.
+        assert_eq!(s.vals.len(), 2);
+        // The padded instance's slot is its own: writes land there only.
+        s.attr_write(&d, b, AttrId::new(0), Value::Bool(true))
+            .unwrap();
+        assert_eq!(s.attr_read(b, AttrId::new(0)).unwrap(), Value::Bool(true));
+        assert_eq!(
+            s.attr_read(InstId::new(0), AttrId::new(0)).unwrap(),
+            Value::Int(0)
+        );
+        let err = s.attr_read(p, AttrId::new(0)).unwrap_err().to_string();
+        assert!(
+            err.contains("instance I6 has no attribute slot A0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn error_texts_are_unchanged() {
+        let d = domain();
+        let mut s = ObjectStore::new(d.associations.len());
+        let a = s.create(&d, ClassId::new(0));
+        let p = s.create_proxy(ClassId::new(1));
+        let text = |r: Result<Value>| r.unwrap_err().to_string();
+        let missing = "instance I1 has no attribute slot A0 (cross-partition access?)";
+        assert!(text(s.attr_read(p, AttrId::new(0))).contains(missing));
+        let e = s.attr_write_typed(p, AttrId::new(0), Value::Int(1));
+        assert!(e.unwrap_err().to_string().contains(missing));
+        let e = s.attr_write(&d, p, AttrId::new(0), Value::Bool(true));
+        assert!(e.unwrap_err().to_string().contains(missing));
+        let e = s.attr_write(&d, a, AttrId::new(0), Value::Bool(true));
+        assert!(e
+            .unwrap_err()
+            .to_string()
+            .contains("attribute A.x is int, got bool"));
+        s.delete(a).unwrap();
+        let deleted = "instance I0 has been deleted";
+        assert!(text(s.attr_read(a, AttrId::new(0))).contains(deleted));
+        let e = s.attr_write_typed(a, AttrId::new(0), Value::Int(1));
+        assert!(e.unwrap_err().to_string().contains(deleted));
+        assert!(text(s.attr_read(InstId::new(9), AttrId::new(0))).contains("unknown instance I9"));
+    }
+
+    #[test]
+    fn snapshot_keeps_per_instance_slot_counts() {
+        use crate::snapshot::{Reader, Writer, KIND_SEQUENTIAL};
+        let d = domain();
+        // A wider variant of class A: instances created against it carry
+        // two slots while `d`'s A declares one.
+        let mut wide = DomainBuilder::new("t");
+        wide.class("A")
+            .attr("x", DataType::Int)
+            .attr("w", DataType::Int);
+        let wide = wide.build().unwrap();
+        let mut s = ObjectStore::new(d.associations.len());
+        let a2 = s.create(&wide, ClassId::new(0));
+        s.create_with_id(&d, ClassId::new(1), InstId::new(2));
+        let a1 = s.create(&d, ClassId::new(0));
+        s.create_proxy(ClassId::new(1));
+        s.attr_write_typed(a2, AttrId::new(1), Value::Int(7))
+            .unwrap();
+        s.attr_write_typed(a1, AttrId::new(0), Value::Int(3))
+            .unwrap();
+        s.delete(a1).unwrap(); // a tombstone keeps its slot
+        let write = |s: &ObjectStore| {
+            let mut w = Writer::with_header(KIND_SEQUENTIAL, &d);
+            s.snap_write(&mut w);
+            w.finish()
+        };
+        let bytes = write(&s);
+        let (mut r, _) = Reader::open(&bytes, &d).unwrap();
+        let back = ObjectStore::snap_read(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(write(&back), bytes);
+        assert_eq!(back.vals, s.vals);
+        assert_eq!(back.attr_read(a2, AttrId::new(1)).unwrap(), Value::Int(7));
+        assert!(back.attr_read(a1, AttrId::new(0)).is_err());
+        assert_eq!(back.slots(&back.instances[a1.index()]), [Value::Int(3)]);
+        assert_eq!(back.id_space(), 5);
     }
 
     #[test]

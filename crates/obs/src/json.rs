@@ -201,12 +201,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape
+                    // at once: both are ASCII, so the run ends on a
+                    // character boundary and parsing stays linear.
+                    let rest = &self.bytes[self.pos..];
+                    let end = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..end])
                         .map_err(|_| self.err("non-utf8 string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += end;
                 }
             }
         }
@@ -339,5 +345,40 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_str), Some(s));
+    }
+
+    #[test]
+    fn multibyte_text_and_escapes_between_runs() {
+        let v = parse(r#"["héllo → wörld ✓", "aéb\\c\"d€", "\n€\t", "", "\/"]"#).unwrap();
+        let got: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(got, ["héllo → wörld ✓", "aéb\\c\"d€", "\n€\t", "", "/"]);
+        let s = "snow ☃ and \"quotes\" \\ and 🦀";
+        let doc = format!("\"{}\"", escape(s));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(s));
+        assert!(parse("\"open ☃").is_err());
+        assert!(parse(r#""bad \q escape""#).is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses() {
+        // A hex snapshot in a restore frame: one long escape-free run.
+        let hex: String = (0..4 << 20)
+            .map(|i| char::from(b"0123456789abcdef"[i % 16]))
+            .collect();
+        let doc = format!("{{\"op\": \"restore\", \"snapshot\": \"{hex}\"}}");
+        let v = parse(&doc).unwrap();
+        assert_eq!(
+            v.get("snapshot").and_then(Value::as_str),
+            Some(hex.as_str())
+        );
+        // Dense escapes stay linear too.
+        let dense = "\\n".repeat(1 << 20);
+        let v = parse(&format!("\"{dense}\"")).unwrap();
+        assert_eq!(v.as_str().map(str::len), Some(1 << 20));
     }
 }
