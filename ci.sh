@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 CI gate: everything here runs offline (no network, no external
-# crates — property tests and criterion benches are feature-gated off).
+# crates; property tests use the in-repo harness).
 set -eux
 
 cargo fmt --all -- --check
@@ -11,6 +11,8 @@ cargo test -q --workspace
 # APIs; its tests catch an API change that would break it here rather
 # than only in the benchmark pipeline.
 cargo test -q --manifest-path perfbench/Cargo.toml
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Lint gate: every shipped model must be free of deny-level (error)
 # diagnostics. Warnings are allowed — some shipped models demonstrate

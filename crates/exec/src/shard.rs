@@ -42,22 +42,18 @@
 //! (`delete`/`relate`/`unrelate`) and irreconcilable non-self access
 //! still reject — the latter as diagnostic `X0017 cross-shard-race`.
 
+use crate::dispatch::{self, Core, Envelope, Program, Route, Stimulus, Timer};
 use crate::mailbox::Mailboxes;
 use crate::sched::{SchedPolicy, SplitMix64};
-use crate::sim::{
-    snap_read_mail, snap_write_mail, DispatchTable, Engine, Envelope, Exec, PayloadPool,
-    Simulation, Slot, SpanNames,
-};
+use crate::sim::{BridgeFn, Engine, Simulation};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtuml_core::bc::{self, BcFallback, BcProgram};
-use xtuml_core::code::CompiledProgram;
+use xtuml_core::bc::BcFallback;
 use xtuml_core::error::{CoreError, Result};
-use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
-use xtuml_core::interp::{self, ActionHost, ExecCtx};
+use xtuml_core::ids::{ActorId, AssocId, ClassId, EventId, InstId};
 use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, EpochRow, Gauge, HistKind, Metrics, NullSink, Recorder, Sink};
@@ -109,25 +105,104 @@ struct OutboxEntry {
     env: Envelope,
 }
 
-/// A timer armed during an epoch, collected by the coordinator.
-#[derive(Debug, Clone)]
-struct PendingTimer {
-    deadline: u64,
-    seq: u64,
-    from: InstId,
-    to: InstId,
-    event: EventId,
-    args: Arc<[Value]>,
+/// A shard's side of the routing seam: sends to other shards and every
+/// timer and cancellation wait in epoch-local buffers for the barrier,
+/// created ids are congruent to the shard id, the population's structure
+/// is fixed, writes are confined to owned instances, and bridge calls
+/// return their defaults (handler closures cannot cross threads).
+struct ShardRoute {
+    id: usize,
+    nshards: usize,
+    /// Per-shard send counter; globalised as `local*nshards + id` so
+    /// sequence numbers stay strictly increasing per sending shard
+    /// without cross-shard coordination.
+    local_seq: u64,
+    /// Epoch-local buffers, drained at each barrier:
+    outbox: Vec<OutboxEntry>,
+    new_timers: Vec<Timer>,
+    /// `(instance, event)` pairs cancelled this epoch, applied to the
+    /// coordinator's timer list at the barrier.
+    cancels: Vec<(InstId, EventId)>,
 }
 
-/// An external stimulus scheduled before the run.
-#[derive(Debug, Clone)]
-struct PendingStimulus {
-    time: u64,
-    seq: u64,
-    to: InstId,
-    event: EventId,
-    args: Arc<[Value]>,
+impl Route for ShardRoute {
+    const MUTABLE: bool = false;
+
+    fn owns(&self, inst: InstId) -> bool {
+        inst.index() % self.nshards == self.id
+    }
+
+    fn alloc(&self, store: &mut ObjectStore, domain: &Domain, class: ClassId) -> InstId {
+        // Creation reaches a sharded dispatch only when the effect
+        // analysis proved the class creation-confined (nothing selects
+        // over it), so the instance stays private to this shard. Ids are
+        // allocated congruent to the shard id so `owns()` holds for
+        // every subsequent access and send; other shards' replicas never
+        // learn the id, and a leaked id would hit a tombstone there —
+        // a deterministic error, not a race.
+        let len = store.id_space();
+        let rem = len % self.nshards;
+        let want = if rem <= self.id {
+            len + (self.id - rem)
+        } else {
+            len + self.nshards - rem + self.id
+        };
+        store.create_with_id(domain, class, InstId::new(want as u32))
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.local_seq += 1;
+        self.local_seq * self.nshards as u64 + self.id as u64
+    }
+
+    fn post(&mut self, core: &mut Core, to: InstId, env: Envelope) {
+        let local = self.owns(to);
+        if let Some(r) = core.obs.as_mut() {
+            r.count(
+                if local {
+                    Counter::LocalShardSignals
+                } else {
+                    Counter::CrossShardSignals
+                },
+                1,
+            );
+            let lane = r.metrics.lane_mut(self.id as u32);
+            lane.sent += 1;
+            if !local {
+                lane.cross_shard += 1;
+            }
+        }
+        if local {
+            core.enqueue(to, env);
+        } else {
+            self.outbox.push(OutboxEntry { to, env });
+        }
+    }
+
+    fn arm(&mut self, _core: &mut Core, timer: Timer) {
+        self.new_timers.push(timer);
+    }
+
+    fn cancel(&mut self, core: &mut Core, inst: InstId, event: EventId) {
+        // Timers armed this epoch are still local; older ones live in
+        // the coordinator and are removed at the barrier.
+        let before = self.new_timers.len();
+        self.new_timers
+            .retain(|t| !(t.to == inst && t.event == event));
+        let removed = (before - self.new_timers.len()) as u64;
+        if removed > 0 {
+            core.count(Counter::TimersCancelled, removed);
+        }
+        self.cancels.push((inst, event));
+    }
+
+    fn forget(&mut self, _inst: InstId) {
+        // Unreachable: deletion is rejected (`MUTABLE` is false).
+    }
+
+    fn bridge(&mut self, _actor: ActorId) -> Option<&mut BridgeFn> {
+        None
+    }
 }
 
 /// The live epoch engine between barriers: shard replicas plus the
@@ -138,9 +213,9 @@ struct PendingStimulus {
 struct EngineState {
     shards: Vec<ShardState>,
     /// Not-yet-due external stimuli, sorted by `(time, seq)`.
-    stimuli: VecDeque<PendingStimulus>,
+    stimuli: VecDeque<Stimulus>,
     /// Armed timers, sorted by `(deadline, seq)` at every barrier.
-    timers: Vec<PendingTimer>,
+    timers: Vec<Timer>,
     total_steps: u64,
     epoch_no: u64,
 }
@@ -154,34 +229,22 @@ type DueDelivery = (u64, u64, u8, Option<InstId>, InstId, EventId, Arc<[Value]>)
 /// Everything one shard owns between barriers. `Send` by construction:
 /// signal payloads are `Arc<[Value]>`, the store and trace are plain
 /// data.
+///
+/// The core's store is a replica of the setup-time population. Admitted
+/// actions only write shard-owned instances and only read slots whose
+/// values match the owner's (never-written attributes, colocated links,
+/// or instances this shard created), so replicas only diverge in slots
+/// no other shard reads. Creation appends shard-congruent ids, so replica
+/// id spaces may diverge in length — created ids never escape their
+/// shard. The mailboxes' ready list holds local instances only. The
+/// core's trace is epoch-local, cleared at each barrier; its recorder is
+/// forked from the coordinator's ([`Recorder::fork_shard`]) and absorbed
+/// back in shard-id order at the end of the run so merged snapshots
+/// never depend on `--jobs`.
 struct ShardState {
-    id: usize,
-    nshards: usize,
-    /// Replica of the setup-time population. Admitted actions only
-    /// write shard-owned instances and only read slots whose values
-    /// match the owner's (never-written attributes, colocated links, or
-    /// instances this shard created), so replicas only diverge in slots
-    /// no other shard reads. Creation appends shard-congruent ids, so
-    /// replica id spaces may diverge in length — created ids never
-    /// escape their shard.
-    store: ObjectStore,
-    /// Signal queues over the replica's id space; the ready list holds
-    /// local instances only, ascending by id.
-    mail: Mailboxes<Envelope>,
-    rng: SplitMix64,
-    /// Per-shard send counter; globalised as `local*nshards + id` so
-    /// sequence numbers stay strictly increasing per sending shard
-    /// without cross-shard coordination.
-    local_seq: u64,
-    /// Epoch-local state, cleared at each barrier:
-    trace: Trace,
-    outbox: Vec<OutboxEntry>,
-    new_timers: Vec<PendingTimer>,
-    /// `(instance, event)` pairs cancelled this epoch, applied to the
-    /// coordinator's timer list at the barrier.
-    cancels: Vec<(InstId, EventId)>,
+    core: Core,
+    route: ShardRoute,
     dispatches: u64,
-    dropped: u64,
     /// Remaining global dispatch budget at the top of the epoch. A local
     /// cycle (e.g. an action that unconditionally signals itself) never
     /// quiesces, so the epoch itself must enforce `max_steps` — the
@@ -189,20 +252,6 @@ struct ShardState {
     step_budget: u64,
     /// The run's configured cap, for the error message.
     max_steps: u64,
-    now: u64,
-    strict: bool,
-    self_priority: bool,
-    frame_buf: Vec<Option<Value>>,
-    /// Recycled candidate buffer for filtered selects (see
-    /// [`ExecCtx::scratch`]).
-    scratch_buf: Vec<InstId>,
-    /// Per-shard recycled signal payload buffers (see
-    /// [`PayloadPool`]); shard-local, so pooling never couples shards.
-    payloads: PayloadPool,
-    /// Per-shard telemetry, forked from the coordinator's recorder
-    /// ([`Recorder::fork_shard`]) and absorbed back in shard-id order at
-    /// the end of the run so merged snapshots never depend on `--jobs`.
-    obs: Option<Recorder>,
     /// Epoch ordinal, set by the coordinator before each parallel
     /// section (for span names; 1-based).
     epoch: u64,
@@ -213,22 +262,6 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn owns(&self, inst: InstId) -> bool {
-        inst.index() % self.nshards == self.id
-    }
-
-    fn next_seq(&mut self) -> u64 {
-        self.local_seq += 1;
-        self.local_seq * self.nshards as u64 + self.id as u64
-    }
-
-    fn enqueue(&mut self, to: InstId, env: Envelope) {
-        self.mail.push(to, env.is_self(to, self.self_priority), env);
-        if let Some(r) = self.obs.as_mut() {
-            r.gauge_max(Gauge::ReadySetMax, self.mail.ready().len() as u64);
-        }
-    }
-
     /// Runs this shard's run-to-completion steps until no local instance
     /// is ready. Called between barriers, possibly on a worker thread.
     ///
@@ -238,22 +271,16 @@ impl ShardState {
     /// function of its own inputs — deterministic across worker counts —
     /// and a shard-local livelock fails like the sequential engine does
     /// instead of hanging the run.
-    fn run_epoch(
-        &mut self,
-        domain: &Domain,
-        program: &CompiledProgram,
-        table: &DispatchTable,
-        spans: Option<&SpanNames>,
-    ) -> Result<()> {
-        let timed = self.obs.is_some().then(std::time::Instant::now);
-        if let Some(r) = self.obs.as_mut() {
+    fn run_epoch(&mut self, prog: &Program<'_>) -> Result<()> {
+        let timed = self.core.obs.is_some().then(std::time::Instant::now);
+        if let Some(r) = self.core.obs.as_mut() {
             if r.spans_enabled() {
                 let track = r.track;
                 r.span_begin(track, "shard", &format!("epoch {}", self.epoch));
             }
         }
-        let out = self.run_epoch_inner(domain, program, table, spans);
-        if let Some(r) = self.obs.as_mut() {
+        let out = self.run_epoch_inner(prog);
+        if let Some(r) = self.core.obs.as_mut() {
             if r.spans_enabled() {
                 let track = r.track;
                 r.span_end(track);
@@ -265,457 +292,33 @@ impl ShardState {
         out
     }
 
-    fn run_epoch_inner(
-        &mut self,
-        domain: &Domain,
-        program: &CompiledProgram,
-        table: &DispatchTable,
-        spans: Option<&SpanNames>,
-    ) -> Result<()> {
-        while !self.mail.ready().is_empty() {
+    fn run_epoch_inner(&mut self, prog: &Program<'_>) -> Result<()> {
+        while !self.core.mail.ready().is_empty() {
             if self.dispatches >= self.step_budget {
-                if let Some(r) = self.obs.as_mut() {
-                    r.count(Counter::BudgetExhausted, 1);
-                }
-                return Err(CoreError::runtime(format!(
-                    "exceeded max_steps ({}) — livelock?",
-                    self.max_steps
-                )));
+                self.core.count(Counter::BudgetExhausted, 1);
+                return Err(dispatch::livelock(self.max_steps));
             }
-            let ready = self.mail.ready();
-            let pick = ready[self.rng.below(ready.len())];
+            let pick = self.core.pick();
             // Same-instance batch (superloop): nothing is delivered
             // mid-epoch and shards never delete, so while `pick` stays
             // the only ready instance the next draw must re-select it —
             // drain its queues in a tight loop, consuming one PRNG draw
             // per signal to keep the stream identical.
             loop {
-                let env = self.mail.pop(pick).expect("ready instance has a signal");
-                self.dispatch(domain, program, table, spans, pick, env)?;
+                let env = self
+                    .core
+                    .mail
+                    .pop(pick)
+                    .expect("ready instance has a signal");
+                self.core.dispatch(prog, &mut self.route, pick, env)?;
                 self.dispatches += 1;
-                if self.mail.ready() != [pick] || self.dispatches >= self.step_budget {
+                if self.core.mail.ready() != [pick] || self.dispatches >= self.step_budget {
                     break;
                 }
-                self.rng.below(1); // the draw a re-pick would consume
+                self.core.rng.below(1); // the draw a re-pick would consume
             }
         }
         Ok(())
-    }
-
-    fn dispatch(
-        &mut self,
-        domain: &Domain,
-        program: &CompiledProgram,
-        table: &DispatchTable,
-        spans: Option<&SpanNames>,
-        inst: InstId,
-        env: Envelope,
-    ) -> Result<()> {
-        let (class, from_state) = self.store.class_state(inst)?;
-        let Some(cs) = table.class(class) else {
-            return Err(CoreError::runtime(format!(
-                "signal sent to passive class {}",
-                domain.class(class).name
-            )));
-        };
-        let mut rtc_span = false;
-        if let Some(r) = self.obs.as_mut() {
-            r.count(Counter::SignalsDispatched, 1);
-            if r.spans_enabled() {
-                rtc_span = true;
-                let track = r.track;
-                match spans {
-                    Some(sn) => r.span_begin(track, "rtc", sn.rtc(class, env.event)),
-                    None => {
-                        let c = domain.class(class);
-                        let name = format!("{}.{}", c.name, c.events[env.event.index()].name);
-                        r.span_begin(track, "rtc", &name);
-                    }
-                }
-            }
-        }
-        let out = match cs.slot(from_state, env.event) {
-            Slot::Run { to, exec } => {
-                let to_state = *to;
-                self.store.set_state(inst, to_state)?;
-                self.trace.push_dispatch(
-                    self.now, inst, env.from, env.event, env.seq, from_state, to_state,
-                );
-                let mut action_span = false;
-                if let Some(r) = self.obs.as_mut() {
-                    r.count(Counter::TransitionsFired, 1);
-                    if r.spans_enabled() {
-                        action_span = true;
-                        let track = r.track;
-                        match spans {
-                            Some(sn) => r.span_begin(track, "action", sn.action(class, to_state)),
-                            None => {
-                                let c = domain.class(class);
-                                let machine = c.state_machine.as_ref().expect("active class");
-                                let name =
-                                    format!("action {}.{}", c.name, machine.state(to_state).name);
-                                r.span_begin(track, "action", &name);
-                            }
-                        }
-                    }
-                }
-                let run = match exec {
-                    Exec::Nop { vm } => {
-                        // Provably effect-free body: no frame, no ctx, no
-                        // VM entry. Counters must match a real execution.
-                        if *vm {
-                            if let Some(r) = self.obs.as_mut() {
-                                r.count(Counter::BcActions, 1);
-                            }
-                        }
-                        Ok(interp::Outcome::Completed)
-                    }
-                    Exec::Vm(bca) => {
-                        if let Some(r) = self.obs.as_mut() {
-                            r.count(Counter::BcActions, 1);
-                        }
-                        // Recycle one frame allocation across dispatches.
-                        let mut frame = std::mem::take(&mut self.frame_buf);
-                        frame.clear();
-                        frame.resize(bca.n_regs, None);
-                        let mut ctx = ExecCtx::with_frame(inst, class, frame);
-                        ctx.scratch = std::mem::take(&mut self.scratch_buf);
-                        ctx.bind_args(env.args.iter().cloned());
-                        let mut host = ShardHost {
-                            shard: self,
-                            domain,
-                        };
-                        let r = bc::run_bc(&mut host, &mut ctx, bca);
-                        self.frame_buf = std::mem::take(&mut ctx.frame);
-                        self.scratch_buf = std::mem::take(&mut ctx.scratch);
-                        r
-                    }
-                    Exec::Frames { fallback } => {
-                        if *fallback {
-                            if let Some(r) = self.obs.as_mut() {
-                                r.count(Counter::BcFallbacks, 1);
-                            }
-                        }
-                        // Only the frame interpreter needs the compiled
-                        // action; a `Vm` slot implies the frame compile
-                        // it lowered from succeeded.
-                        let action =
-                            program.action(class, to_state, env.event).ok_or_else(|| {
-                                CoreError::runtime(
-                                    "internal: dispatched pair has no compiled action",
-                                )
-                            })??;
-                        let mut frame = std::mem::take(&mut self.frame_buf);
-                        frame.clear();
-                        frame.resize(action.frame_len(), None);
-                        let mut ctx = ExecCtx::with_frame(inst, class, frame);
-                        ctx.scratch = std::mem::take(&mut self.scratch_buf);
-                        ctx.bind_args(env.args.iter().cloned());
-                        let mut host = ShardHost {
-                            shard: self,
-                            domain,
-                        };
-                        let r = interp::run_code(&mut host, &mut ctx, action);
-                        self.frame_buf = std::mem::take(&mut ctx.frame);
-                        self.scratch_buf = std::mem::take(&mut ctx.scratch);
-                        r
-                    }
-                };
-                if action_span {
-                    if let Some(r) = self.obs.as_mut() {
-                        let track = r.track;
-                        r.span_end(track);
-                    }
-                }
-                run?;
-                Ok(())
-            }
-            Slot::Ignore => {
-                if let Some(r) = self.obs.as_mut() {
-                    r.count(Counter::SignalsIgnored, 1);
-                }
-                self.trace.push_ignored(self.now, inst, env.event);
-                Ok(())
-            }
-            Slot::CantHappen => {
-                if self.strict {
-                    let c = domain.class(class);
-                    let machine = c.state_machine.as_ref().expect("active class");
-                    Err(CoreError::CantHappen {
-                        class: c.name.clone(),
-                        state: machine.state(from_state).name.clone(),
-                        event: c.events[env.event.index()].name.clone(),
-                    })
-                } else {
-                    self.dropped += 1;
-                    if let Some(r) = self.obs.as_mut() {
-                        r.count(Counter::SignalsDropped, 1);
-                    }
-                    self.trace.push_dropped(self.now, inst, env.event);
-                    Ok(())
-                }
-            }
-        };
-        if rtc_span {
-            if let Some(r) = self.obs.as_mut() {
-                let track = r.track;
-                r.span_end(track);
-            }
-        }
-        // The envelope is fully consumed: offer its payload buffer to
-        // this shard's next computed send.
-        self.payloads.recycle(env.args);
-        out
-    }
-}
-
-/// The [`ActionHost`] a sharded dispatch executes against: local sends
-/// are delivered immediately, cross-shard sends and timers are buffered
-/// for the barrier, creation allocates shard-congruent ids, and the
-/// accesses the effect analysis blocks (structure mutation, non-owned
-/// writes) are rejected (unreachable after [`shard_safety`], but
-/// enforced anyway).
-struct ShardHost<'a, 'd> {
-    shard: &'a mut ShardState,
-    domain: &'d Domain,
-}
-
-impl ShardHost<'_, '_> {
-    fn unsupported(what: &str) -> CoreError {
-        CoreError::runtime(format!(
-            "{what} is not shard-safe; run with --jobs 1 (sequential)"
-        ))
-    }
-}
-
-impl ActionHost for ShardHost<'_, '_> {
-    fn domain(&self) -> &Domain {
-        self.domain
-    }
-
-    fn create(&mut self, class: ClassId) -> Result<InstId> {
-        // Creation reaches a sharded dispatch only when the effect
-        // analysis proved the class creation-confined (nothing selects
-        // over it), so the instance stays private to this shard. Ids are
-        // allocated congruent to the shard id so `owns()` holds for
-        // every subsequent access and send; other shards' replicas never
-        // learn the id, and a leaked id would hit a tombstone there —
-        // a deterministic error, not a race.
-        let s = &mut self.shard;
-        let len = s.store.id_space();
-        let rem = len % s.nshards;
-        let want = if rem <= s.id {
-            len + (s.id - rem)
-        } else {
-            len + s.nshards - rem + s.id
-        };
-        let inst = s
-            .store
-            .create_with_id(self.domain, class, InstId::new(want as u32));
-        s.mail.grow_to(s.store.id_space());
-        if let Some(r) = s.obs.as_mut() {
-            r.count(Counter::InstancesCreated, 1);
-            r.gauge_max(Gauge::LiveInstancesMax, s.store.live_count() as u64);
-        }
-        s.trace.push_create(s.now, inst, class);
-        Ok(inst)
-    }
-
-    fn delete(&mut self, _inst: InstId) -> Result<()> {
-        Err(Self::unsupported("instance deletion"))
-    }
-
-    fn class_of(&self, inst: InstId) -> Result<ClassId> {
-        self.shard.store.class_of(inst)
-    }
-
-    fn attr_read(&self, inst: InstId, attr: AttrId) -> Result<Value> {
-        self.shard.store.attr_read(inst, attr)
-    }
-
-    fn attr_write_typed(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
-        // Same ownership gate as `attr_write` — the bytecode VM writes
-        // through this pre-typechecked entry point, and an admitted
-        // model only ever writes shard-owned instances (self, created
-        // here, or reached via a colocated link).
-        if !self.shard.owns(inst) {
-            return Err(Self::unsupported("writing another shard's attribute"));
-        }
-        self.shard.store.attr_write_typed(inst, attr, value)
-    }
-
-    fn take_payload(&mut self, len: usize) -> Option<Arc<[Value]>> {
-        self.shard.payloads.take(len)
-    }
-
-    fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
-        if !self.shard.owns(inst) {
-            return Err(Self::unsupported("writing another shard's attribute"));
-        }
-        self.shard.store.attr_write(self.domain, inst, attr, value)
-    }
-
-    fn instances_of(&self, class: ClassId) -> Vec<InstId> {
-        self.shard.store.instances_of(class)
-    }
-
-    fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
-        self.shard.store.related(inst, assoc)
-    }
-
-    fn each_instance(&self, class: ClassId, f: &mut dyn FnMut(InstId)) {
-        self.shard.store.instances_iter(class).for_each(f);
-    }
-
-    fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
-        self.shard.store.first_instance_of(class)
-    }
-
-    fn related_each(&self, inst: InstId, assoc: AssocId, f: &mut dyn FnMut(InstId)) -> Result<()> {
-        self.shard.store.related_iter(inst, assoc)?.for_each(f);
-        Ok(())
-    }
-
-    fn relate(&mut self, _a: InstId, _b: InstId, _assoc: AssocId) -> Result<()> {
-        Err(Self::unsupported("relating instances"))
-    }
-
-    fn unrelate(&mut self, _a: InstId, _b: InstId, _assoc: AssocId) -> Result<()> {
-        Err(Self::unsupported("unrelating instances"))
-    }
-
-    fn send(&mut self, from: InstId, to: InstId, event: EventId, args: Vec<Value>) -> Result<()> {
-        self.send_arc(from, to, event, Arc::from(args))
-    }
-
-    fn send_arc(
-        &mut self,
-        from: InstId,
-        to: InstId,
-        event: EventId,
-        args: Arc<[Value]>,
-    ) -> Result<()> {
-        self.shard.store.class_of(to)?; // liveness (population is static)
-        let seq = self.shard.next_seq();
-        let env = Envelope {
-            from: Some(from),
-            event,
-            args,
-            seq,
-        };
-        let local = self.shard.owns(to);
-        if let Some(r) = self.shard.obs.as_mut() {
-            r.count(Counter::SignalsSent, 1);
-            if from == to {
-                r.count(Counter::SelfSignals, 1);
-            }
-            r.count(
-                if local {
-                    Counter::LocalShardSignals
-                } else {
-                    Counter::CrossShardSignals
-                },
-                1,
-            );
-            let shard_id = self.shard.id as u32;
-            let lane = r.metrics.lane_mut(shard_id);
-            lane.sent += 1;
-            if !local {
-                lane.cross_shard += 1;
-            }
-        }
-        if local {
-            self.shard.enqueue(to, env);
-        } else {
-            self.shard.outbox.push(OutboxEntry { to, env });
-        }
-        Ok(())
-    }
-
-    fn send_actor(
-        &mut self,
-        from: InstId,
-        actor: ActorId,
-        event: EventId,
-        args: Vec<Value>,
-    ) -> Result<()> {
-        self.send_actor_arc(from, actor, event, Arc::from(args))
-    }
-
-    fn send_actor_arc(
-        &mut self,
-        _from: InstId,
-        actor: ActorId,
-        event: EventId,
-        args: Arc<[Value]>,
-    ) -> Result<()> {
-        if let Some(r) = self.shard.obs.as_mut() {
-            r.count(Counter::ActorSignals, 1);
-        }
-        self.shard
-            .trace
-            .push_actor_signal(self.shard.now, actor, event, args);
-        Ok(())
-    }
-
-    fn send_delayed(
-        &mut self,
-        from: InstId,
-        to: InstId,
-        event: EventId,
-        args: Vec<Value>,
-        delay: i64,
-    ) -> Result<()> {
-        self.shard.store.class_of(to)?;
-        let seq = self.shard.next_seq();
-        let deadline = self.shard.now + delay as u64;
-        self.shard.new_timers.push(PendingTimer {
-            deadline,
-            seq,
-            from,
-            to,
-            event,
-            args: Arc::from(args),
-        });
-        if let Some(r) = self.shard.obs.as_mut() {
-            r.count(Counter::TimersSet, 1);
-        }
-        Ok(())
-    }
-
-    fn cancel_delayed(&mut self, inst: InstId, event: EventId) -> Result<()> {
-        // Timers armed this epoch are still local; older ones live in
-        // the coordinator and are removed at the barrier.
-        let before = self.shard.new_timers.len();
-        self.shard
-            .new_timers
-            .retain(|t| !(t.to == inst && t.event == event));
-        let removed = (before - self.shard.new_timers.len()) as u64;
-        if removed > 0 {
-            if let Some(r) = self.shard.obs.as_mut() {
-                r.count(Counter::TimersCancelled, removed);
-            }
-        }
-        self.shard.cancels.push((inst, event));
-        Ok(())
-    }
-
-    fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value> {
-        let a = self.domain.actor(actor);
-        let decl = a
-            .func(func)
-            .ok_or_else(|| CoreError::unresolved("bridge function", func))?;
-        let ret_ty = decl.ret;
-        if let Some(r) = self.shard.obs.as_mut() {
-            r.count(Counter::BridgeCalls, 1);
-        }
-        self.shard
-            .trace
-            .push_bridge_call(self.shard.now, actor, func, Arc::from(args.as_slice()));
-        Ok(match ret_ty {
-            Some(t) => Value::default_for(t),
-            None => Value::Bool(false),
-        })
     }
 }
 
@@ -723,23 +326,24 @@ impl ActionHost for ShardHost<'_, '_> {
 /// `relate`, `inject`), then [`ShardedSimulation::run_to_quiescence`]
 /// executes epochs with a caller-supplied worker count.
 ///
+/// A `ShardedSimulation` runs once: setup closes when the run starts,
+/// and a call after the run finished returns at once (DESIGN §15).
+///
 /// With `policy.shards <= 1` the run delegates to the sequential
 /// [`Simulation`], reproducing historical traces exactly. With more
 /// shards the trace is a pure function of `(seed, shards)` — see the
 /// module docs for the guarantee and [`shard_safety`] for the model
 /// classes this engine accepts.
 pub struct ShardedSimulation<'d> {
-    domain: &'d Domain,
-    program: CompiledProgram,
-    /// Register bytecode lowered from `program`, once at construction.
-    bc: BcProgram,
-    /// Action executor selection; [`Engine::Bc`] by default.
-    engine: Engine,
+    prog: Program<'d>,
     policy: SchedPolicy,
     store: ObjectStore,
     /// Setup-time relate calls, in call order (for sequential replay).
     setup_links: Vec<(InstId, InstId, AssocId)>,
-    stimuli: Vec<PendingStimulus>,
+    /// Setup stimuli in injection order, until the run takes them.
+    stimuli: Vec<Stimulus>,
+    /// Stimuli injected during setup; differs from `stimuli.len()` once
+    /// the run has taken them.
     setup_seq: u64,
     max_steps: u64,
     trace: Trace,
@@ -757,18 +361,12 @@ pub struct ShardedSimulation<'d> {
     /// The paused epoch engine, `Some` only between a `run_epochs` pause
     /// and its resumption (always at an epoch barrier).
     engine_state: Option<EngineState>,
-    /// Dense `(state × event) → slot` dispatch tables, pre-resolved for
-    /// the selected engine (rebuilt on [`ShardedSimulation::set_engine`]).
-    table: DispatchTable,
-    /// Pre-interned span names, built on first recorder attach with
-    /// spans enabled.
-    spans: Option<SpanNames>,
 }
 
 impl std::fmt::Debug for ShardedSimulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSimulation")
-            .field("domain", &self.domain.name)
+            .field("domain", &self.prog.domain.name)
             .field("policy", &self.policy)
             .field("live", &self.store.live_count())
             .finish_non_exhaustive()
@@ -778,16 +376,8 @@ impl std::fmt::Debug for ShardedSimulation<'_> {
 impl<'d> ShardedSimulation<'d> {
     /// Creates a sharded simulation with an explicit policy.
     pub fn with_policy(domain: &'d Domain, policy: SchedPolicy) -> ShardedSimulation<'d> {
-        let program = CompiledProgram::new(domain);
-        let bc = BcProgram::new(domain, &program);
-        let table = DispatchTable::new(domain, &program, &bc, Engine::default());
         ShardedSimulation {
-            domain,
-            program,
-            bc,
-            engine: Engine::default(),
-            table,
-            spans: None,
+            prog: Program::new(domain),
             policy: policy.with_shards(policy.shards),
             store: ObjectStore::new(domain.associations.len()),
             setup_links: Vec::new(),
@@ -806,10 +396,7 @@ impl<'d> ShardedSimulation<'d> {
     /// Attaches a telemetry recorder. Setup already performed still
     /// counts: the run snapshots population/stimulus totals at start.
     pub fn attach_recorder(&mut self, rec: Recorder) {
-        if rec.spans_enabled() && self.spans.is_none() {
-            self.spans = Some(SpanNames::new(self.domain));
-        }
-        self.obs = Some(Box::new(rec));
+        self.prog.attach(&mut self.obs, rec);
     }
 
     /// Detaches and returns the recorder (with everything absorbed),
@@ -820,7 +407,7 @@ impl<'d> ShardedSimulation<'d> {
 
     /// The domain being executed.
     pub fn domain(&self) -> &'d Domain {
-        self.domain
+        self.prog.domain
     }
 
     /// The execution trace accumulated so far.
@@ -857,10 +444,7 @@ impl<'d> ShardedSimulation<'d> {
     /// Selects the action executor (default [`Engine::Bc`]); `shards == 1`
     /// delegation passes the choice to the inner sequential engine.
     pub fn set_engine(&mut self, engine: Engine) {
-        if engine != self.engine {
-            self.engine = engine;
-            self.table = DispatchTable::new(self.domain, &self.program, &self.bc, engine);
-        }
+        self.prog.set_engine(engine);
     }
 
     /// Selects how much the trace ring records (default
@@ -871,7 +455,7 @@ impl<'d> ShardedSimulation<'d> {
         // A restored mid-run engine already has live shard replicas.
         if let Some(st) = self.engine_state.as_mut() {
             for s in st.shards.iter_mut() {
-                s.trace.set_mode(mode);
+                s.core.trace.set_mode(mode);
             }
         }
     }
@@ -881,28 +465,47 @@ impl<'d> ShardedSimulation<'d> {
     /// bytecode engine (0 under [`Engine::Frames`], where every slot is
     /// a deliberate frames slot, not a fallback).
     pub fn bc_fallback_slots(&self) -> usize {
-        self.table.fallback_slots()
+        self.prog.fallback_slots()
     }
 
     /// The currently selected action executor.
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.prog.engine
     }
 
     /// Actions the bytecode lowering could not encode; these dispatch via
     /// the frame interpreter instead (diagnostic `X0016`).
     pub fn bc_fallbacks(&self) -> &[BcFallback] {
-        &self.bc.fallbacks
+        &self.prog.bc.fallbacks
+    }
+
+    /// Whether the run has started: it is paused at a barrier, or it has
+    /// taken the setup stimuli. Derived only from state the snapshot
+    /// carries, so a restored simulation agrees with the original.
+    fn started(&self) -> bool {
+        self.engine_state.is_some() || self.stimuli.len() as u64 != self.setup_seq
+    }
+
+    /// Fails once the run has started: setup made then would never reach
+    /// the engine.
+    fn setup_open(&self, what: &str) -> Result<()> {
+        if self.started() {
+            return Err(CoreError::runtime(format!(
+                "cannot {what} after the run has started (a sharded simulation runs once)"
+            )));
+        }
+        Ok(())
     }
 
     /// Creates an instance during setup (before the run).
     ///
     /// # Errors
     ///
-    /// Fails if the class is unknown.
+    /// Fails if the class is unknown or the run has started.
     pub fn create(&mut self, class: &str) -> Result<InstId> {
-        let id = self.domain.class_id(class)?;
-        let inst = self.store.create(self.domain, id);
+        let id = self.prog.domain.class_id(class)?;
+        self.setup_open("create an instance")?;
+        let inst = self.store.create(self.prog.domain, id);
         self.trace.push_create(0, inst, id);
         Ok(inst)
     }
@@ -911,10 +514,12 @@ impl<'d> ShardedSimulation<'d> {
     ///
     /// # Errors
     ///
-    /// Propagates store errors (multiplicity, class mismatch, dangling).
+    /// Propagates store errors (multiplicity, class mismatch, dangling);
+    /// fails if the run has started.
     pub fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
-        let id = self.domain.assoc_id(assoc)?;
-        self.store.relate(self.domain, a, b, id)?;
+        let id = self.prog.domain.assoc_id(assoc)?;
+        self.setup_open("relate instances")?;
+        self.store.relate(self.prog.domain, a, b, id)?;
         self.setup_links.push((a, b, id));
         Ok(())
     }
@@ -923,33 +528,33 @@ impl<'d> ShardedSimulation<'d> {
     ///
     /// # Errors
     ///
-    /// Fails on unknown events, dead instances or arity mismatches.
+    /// Fails on unknown events, dead instances, arity mismatches or past
+    /// times, and once the run has started.
     pub fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
-        let class = self.store.class_of(inst)?;
-        let c = self.domain.class(class);
-        let event_id = c
-            .event_id(event)
-            .ok_or_else(|| CoreError::unresolved("event", format!("{}.{event}", c.name)))?;
-        if c.events[event_id.index()].params.len() != args.len() {
-            return Err(CoreError::runtime(format!(
-                "event `{event}` takes {} argument(s), got {}",
-                c.events[event_id.index()].params.len(),
-                args.len()
-            )));
-        }
+        let event = dispatch::resolve_stimulus(
+            self.prog.domain,
+            &self.store,
+            self.now,
+            time,
+            inst,
+            event,
+            args.len(),
+        )?;
+        self.setup_open("inject a stimulus")?;
         self.setup_seq += 1;
-        self.stimuli.push(PendingStimulus {
+        self.stimuli.push(Stimulus {
             time,
             seq: self.setup_seq,
             to: inst,
-            event: event_id,
+            event,
             args: Arc::from(args),
         });
         Ok(())
     }
 
     /// Runs epochs until quiescence, distributing shards over `jobs`
-    /// worker threads. Returns the number of dispatch steps taken.
+    /// worker threads. Returns the number of dispatch steps taken; 0
+    /// once the run has finished.
     ///
     /// The result — including the full trace — does not depend on
     /// `jobs`; it depends only on `(policy.seed, policy.shards)`.
@@ -960,10 +565,6 @@ impl<'d> ShardedSimulation<'d> {
     /// runtime errors (the lowest-id failing shard's error is reported,
     /// deterministically), and on `max_steps` exhaustion.
     pub fn run_to_quiescence(&mut self, jobs: usize) -> Result<u64> {
-        if self.engine_state.is_none() && self.policy.shards <= 1 {
-            self.runtime_fallback = None;
-            return self.run_sequential();
-        }
         let steps = self.run_epochs(jobs, u64::MAX)?;
         Ok(steps.expect("an unbounded epoch budget reaches quiescence"))
     }
@@ -978,6 +579,8 @@ impl<'d> ShardedSimulation<'d> {
     /// [`ShardedSimulation::run_to_quiescence`] no matter how often the
     /// run pauses. Time jumps to the next timer/stimulus deadline do not
     /// count as epochs — only barriers where shards actually dispatched.
+    /// A call after the run finished returns `Some(0)` and changes
+    /// nothing.
     ///
     /// Two delegation paths run the sequential engine to completion and
     /// return `Some` regardless of `max_epochs`: `policy.shards <= 1`,
@@ -986,17 +589,20 @@ impl<'d> ShardedSimulation<'d> {
     ///
     /// # Errors
     ///
-    /// As [`ShardedSimulation::run_to_quiescence`]. An error abandons any
-    /// paused engine — a failing shard stopped mid-dispatch, which is not
-    /// a barrier — so the next call starts a fresh run.
+    /// As [`ShardedSimulation::run_to_quiescence`]. An error ends the
+    /// run: a failing shard stopped mid-dispatch, which is not a
+    /// barrier, so the paused engine is dropped.
     pub fn run_epochs(&mut self, jobs: usize, max_epochs: u64) -> Result<Option<u64>> {
         let max_epochs = max_epochs.max(1);
         if self.engine_state.is_none() {
+            if self.started() {
+                return Ok(Some(0));
+            }
             self.runtime_fallback = None;
             if self.policy.shards <= 1 {
                 return self.run_sequential().map(Some);
             }
-            shard_safety(self.domain)?;
+            shard_safety(self.prog.domain)?;
             let nshards = self.policy.shards;
 
             // Runtime leg of the colocation admission rule: the static
@@ -1006,7 +612,7 @@ impl<'d> ShardedSimulation<'d> {
             // violation, delegate to the sequential engine (the trace
             // stays a pure function of `(seed, shards)` — this check
             // depends on nothing else).
-            let plan = xtuml_core::effects::analyze(self.domain);
+            let plan = xtuml_core::effects::analyze(self.prog.domain);
             for &assoc in &plan.coloc_assocs {
                 if let Some(&(a, b, _)) = self
                     .setup_links
@@ -1016,7 +622,7 @@ impl<'d> ShardedSimulation<'d> {
                     self.runtime_fallback = Some(format!(
                         "association `{}` links {a} and {b} across shards at shards={nshards}; \
                          colocation precondition failed, running sequentially",
-                        self.domain.association(assoc).name
+                        self.prog.domain.association(assoc).name
                     ));
                     if let Some(r) = self.obs.as_mut() {
                         r.count(Counter::ShardFallbacks, 1);
@@ -1024,15 +630,13 @@ impl<'d> ShardedSimulation<'d> {
                     return self.run_sequential().map(Some);
                 }
             }
+
+            // Telemetry: admission and setup totals, then the run-level
+            // span. The sharded setup methods never touch the recorder,
+            // so totals recorded here match what a plain `Simulation`
+            // counts at its call sites.
             if let Some(r) = self.obs.as_mut() {
                 r.count(Counter::ShardAdmitted, 1);
-            }
-
-            // Telemetry: setup totals, then the run-level span. The
-            // sharded setup methods never touch the recorder, so totals
-            // recorded here match what a plain `Simulation` counts at
-            // its call sites.
-            if let Some(r) = self.obs.as_mut() {
                 let live = self.store.live_count() as u64;
                 r.count(Counter::InstancesCreated, live);
                 r.gauge_max(Gauge::LiveInstancesMax, live);
@@ -1046,33 +650,15 @@ impl<'d> ShardedSimulation<'d> {
 
             // Split the setup population into shard replicas.
             let shards: Vec<ShardState> = (0..nshards)
-                .map(|id| ShardState {
-                    id,
-                    nshards,
-                    store: self.store.clone(),
-                    mail: Mailboxes::with_len(self.store_len()),
+                .map(|id| {
                     // stream_seed even for shard 0: stream_seed(base, 0)
                     // != base, so a sharded run never replays the
                     // unsharded schedule by accident.
-                    rng: SplitMix64::new(stream_seed(self.policy.seed, id as u64)),
-                    local_seq: 0,
-                    trace: Trace::with_mode(self.trace.mode()),
-                    outbox: Vec::new(),
-                    new_timers: Vec::new(),
-                    cancels: Vec::new(),
-                    dispatches: 0,
-                    dropped: 0,
-                    step_budget: self.max_steps,
-                    max_steps: self.max_steps,
-                    now: self.now,
-                    strict: self.policy.strict,
-                    self_priority: self.policy.self_priority,
-                    frame_buf: Vec::new(),
-                    scratch_buf: Vec::new(),
-                    payloads: PayloadPool::new(),
-                    obs: self.obs.as_ref().map(|r| r.fork_shard(id as u32)),
-                    epoch: 0,
-                    epoch_busy_ns: 0,
+                    let rng = SplitMix64::new(stream_seed(self.policy.seed, id as u64));
+                    // Instance ids are dense: setup never deletes.
+                    let mail = Mailboxes::with_len(self.store.id_space());
+                    let obs = self.obs.as_ref().map(|r| Box::new(r.fork_shard(id as u32)));
+                    self.replica(id, self.store.clone(), mail, rng, 0, obs)
                 })
                 .collect();
 
@@ -1089,9 +675,9 @@ impl<'d> ShardedSimulation<'d> {
 
         let pool = Pool::new(jobs);
         let nshards = self.policy.shards;
-        // Taken out for the duration of the call: an error leaves the
-        // engine abandoned (see above), success either pauses (putting
-        // it back) or finishes (dropping it).
+        // Taken out for the duration of the call: an error drops the
+        // engine (see above), success either pauses (putting it back) or
+        // finishes (dropping it).
         let mut st = self.engine_state.take().expect("ensured above");
         let mut ran = 0u64;
 
@@ -1131,8 +717,7 @@ impl<'d> ShardedSimulation<'d> {
                 }
             }
             for (_, seq, _, from, to, event, args) in due {
-                let shard = &mut st.shards[to.index() % nshards];
-                shard.enqueue(
+                st.shards[to.index() % nshards].core.enqueue(
                     to,
                     Envelope {
                         from,
@@ -1144,7 +729,7 @@ impl<'d> ShardedSimulation<'d> {
             }
 
             // 2. If nothing is ready anywhere, jump time or quiesce.
-            if st.shards.iter().all(|s| s.mail.ready().is_empty()) {
+            if st.shards.iter().all(|s| s.core.mail.ready().is_empty()) {
                 let next = st
                     .timers
                     .iter()
@@ -1167,14 +752,11 @@ impl<'d> ShardedSimulation<'d> {
             let remaining = self.max_steps.saturating_sub(st.total_steps);
             st.epoch_no += 1;
             for s in st.shards.iter_mut() {
-                s.now = self.now;
+                s.core.now = self.now;
                 s.step_budget = remaining;
                 s.epoch = st.epoch_no;
             }
-            let domain = self.domain;
-            let program = &self.program;
-            let table = &self.table;
-            let spans = self.spans.as_ref();
+            let prog = &self.prog;
             let epoch_t0 = self.obs.is_some().then(std::time::Instant::now);
             let mut null = NullSink;
             let sink: &mut dyn Sink = match self.obs.as_mut() {
@@ -1182,9 +764,7 @@ impl<'d> ShardedSimulation<'d> {
                 None => &mut null,
             };
             let outcomes = pool
-                .try_map_mut_obs(sink, "epoch", &mut st.shards, |_, s| {
-                    s.run_epoch(domain, program, table, spans)
-                })
+                .try_map_mut_obs(sink, "epoch", &mut st.shards, |_, s| s.run_epoch(prog))
                 .map_err(|e| CoreError::runtime(e.to_string()))?;
             let epoch_wall_ns = epoch_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -1192,15 +772,15 @@ impl<'d> ShardedSimulation<'d> {
             // lowest-id shard's error (deterministic across jobs).
             let mut epoch_dispatches = 0u64;
             for s in st.shards.iter_mut() {
-                self.trace.append(&mut s.trace);
-                self.dropped += s.dropped;
-                s.dropped = 0;
+                self.trace.append(&mut s.core.trace);
+                self.dropped += s.core.dropped;
+                s.core.dropped = 0;
                 epoch_dispatches = epoch_dispatches.max(s.dispatches);
                 st.total_steps += s.dispatches;
                 if let Some(r) = self.obs.as_mut() {
                     r.observe(HistKind::EpochDispatches, s.dispatches);
-                    r.observe(HistKind::EpochOutbox, s.outbox.len() as u64);
-                    let lane = r.metrics.lane_mut(s.id as u32);
+                    r.observe(HistKind::EpochOutbox, s.route.outbox.len() as u64);
+                    let lane = r.metrics.lane_mut(s.route.id as u32);
                     lane.dispatches += s.dispatches;
                     if s.dispatches > 0 {
                         lane.epochs_active += 1;
@@ -1208,9 +788,9 @@ impl<'d> ShardedSimulation<'d> {
                     if r.stream_epochs {
                         r.metrics.epoch_rows.push(EpochRow {
                             epoch: st.epoch_no,
-                            shard: s.id as u32,
+                            shard: s.route.id as u32,
                             dispatches: s.dispatches,
-                            outbox: s.outbox.len() as u64,
+                            outbox: s.route.outbox.len() as u64,
                         });
                     }
                     // Barrier wait: epoch wall time minus this shard's
@@ -1230,10 +810,7 @@ impl<'d> ShardedSimulation<'d> {
                 if let Some(r) = self.obs.as_mut() {
                     r.count(Counter::BudgetExhausted, 1);
                 }
-                return Err(CoreError::runtime(format!(
-                    "exceeded max_steps ({}) — livelock?",
-                    self.max_steps
-                )));
+                return Err(dispatch::livelock(self.max_steps));
             }
 
             // 5. Route outboxes: source shards in id order, each
@@ -1242,13 +819,13 @@ impl<'d> ShardedSimulation<'d> {
             let routed: Vec<OutboxEntry> = st
                 .shards
                 .iter_mut()
-                .flat_map(|s| s.outbox.drain(..))
+                .flat_map(|s| s.route.outbox.drain(..))
                 .collect();
             if let Some(r) = self.obs.as_mut() {
                 r.gauge_max(Gauge::OutboxBurstMax, routed.len() as u64);
             }
             for OutboxEntry { to, env } in routed {
-                st.shards[to.index() % nshards].enqueue(to, env);
+                st.shards[to.index() % nshards].core.enqueue(to, env);
             }
 
             // 6. Collect every shard's new timers first, then apply
@@ -1258,11 +835,11 @@ impl<'d> ShardedSimulation<'d> {
             // same-epoch timers armed by higher-id shards — interleaving
             // the passes would make the outcome depend on shard ids.
             for s in st.shards.iter_mut() {
-                st.timers.append(&mut s.new_timers);
+                st.timers.append(&mut s.route.new_timers);
             }
             let mut cancelled = 0u64;
             for s in st.shards.iter_mut() {
-                for (inst, event) in s.cancels.drain(..) {
+                for (inst, event) in s.route.cancels.drain(..) {
                     let before = st.timers.len();
                     st.timers.retain(|t| !(t.to == inst && t.event == event));
                     cancelled += (before - st.timers.len()) as u64;
@@ -1294,8 +871,8 @@ impl<'d> ShardedSimulation<'d> {
         // run-level span.
         if let Some(r) = self.obs.as_mut() {
             for s in st.shards.iter_mut() {
-                if let Some(child) = s.obs.take() {
-                    r.absorb(child);
+                if let Some(child) = s.core.obs.take() {
+                    r.absorb(*child);
                 }
             }
             if r.spans_enabled() {
@@ -1306,13 +883,51 @@ impl<'d> ShardedSimulation<'d> {
         Ok(Some(st.total_steps))
     }
 
+    /// One shard replica over `store` and `mail` — the single place a
+    /// [`ShardState`] is built, at run start and on restore.
+    fn replica(
+        &self,
+        id: usize,
+        store: ObjectStore,
+        mail: Mailboxes<Envelope>,
+        rng: SplitMix64,
+        local_seq: u64,
+        obs: Option<Box<Recorder>>,
+    ) -> ShardState {
+        let mut core = Core::new(
+            &self.policy,
+            store,
+            mail,
+            rng,
+            Trace::with_mode(self.trace.mode()),
+        );
+        core.now = self.now;
+        core.obs = obs;
+        ShardState {
+            core,
+            route: ShardRoute {
+                id,
+                nshards: self.policy.shards,
+                local_seq,
+                outbox: Vec::new(),
+                new_timers: Vec::new(),
+                cancels: Vec::new(),
+            },
+            dispatches: 0,
+            step_budget: self.max_steps,
+            max_steps: self.max_steps,
+            epoch: 0,
+            epoch_busy_ns: 0,
+        }
+    }
+
     /// The `shards == 1` path: replay setup into a classic sequential
     /// [`Simulation`] so single-shard runs reproduce historical traces
     /// byte-for-byte.
     fn run_sequential(&mut self) -> Result<u64> {
-        let mut sim = Simulation::with_policy(self.domain, self.policy);
+        let mut sim = Simulation::with_policy(self.prog.domain, self.policy);
         sim.set_max_steps(self.max_steps);
-        sim.set_engine(self.engine);
+        sim.set_engine(self.prog.engine);
         // Hand the recorder to the inner simulation *before* replaying
         // setup: the replayed creates/injects then count exactly where a
         // plain instrumented `Simulation` counts them, so the shards==1
@@ -1326,19 +941,16 @@ impl<'d> ShardedSimulation<'d> {
         // the source of truth so this works under `TraceMode::Off` too.
         for i in 0..self.store.id_space() {
             let id = InstId::new(i as u32);
-            let class = self.store.class_of(id)?;
-            let inst = ActionHost::create(&mut sim, class)?;
+            let inst = sim.create_of(self.store.class_of(id)?);
             debug_assert_eq!(inst, id);
         }
         for &(a, b, assoc) in &self.setup_links {
-            ActionHost::relate(&mut sim, a, b, assoc)?;
+            sim.relate_by(a, b, assoc)?;
         }
         let mut stimuli = std::mem::take(&mut self.stimuli);
         stimuli.sort_by_key(|s| (s.time, s.seq));
-        for s in &stimuli {
-            let class = self.store.class_of(s.to)?;
-            let name = &self.domain.class(class).events[s.event.index()].name;
-            sim.inject(s.time, s.to, name, s.args.to_vec())?;
+        for s in stimuli {
+            sim.schedule(s.time, s.to, s.event, s.args);
         }
         let run = sim.run_to_quiescence();
         if let Some(r) = sim.take_recorder() {
@@ -1349,12 +961,6 @@ impl<'d> ShardedSimulation<'d> {
         self.now = sim.now();
         self.trace = sim.trace().clone();
         Ok(steps)
-    }
-
-    fn store_len(&self) -> usize {
-        // Instance ids are dense; live_count equals the id space here
-        // because setup never deletes.
-        self.store.live_count()
     }
 
     // -- snapshot / restore -------------------------------------------------
@@ -1371,16 +977,7 @@ impl<'d> ShardedSimulation<'d> {
     /// uninterrupted run. Wall-clock telemetry (spans, `Timing`) and
     /// allocation caches are not captured, by design.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = snapshot::Writer::with_header(snapshot::KIND_SHARDED, self.domain);
-        w.u64(self.policy.seed);
-        w.bool(self.policy.self_priority);
-        w.bool(self.policy.pair_order);
-        w.bool(self.policy.strict);
-        w.u32(self.policy.shards as u32);
-        w.u8(match self.engine {
-            Engine::Frames => 0,
-            Engine::Bc => 1,
-        });
+        let mut w = dispatch::snap_begin(snapshot::KIND_SHARDED, &self.prog, &self.policy);
         w.u64(self.max_steps);
         w.u64(self.now);
         w.u64(self.dropped);
@@ -1392,14 +989,8 @@ impl<'d> ShardedSimulation<'d> {
             w.u32(u32::from(b));
             w.u32(u32::from(assoc));
         }
-        w.len(self.stimuli.len());
-        for s in &self.stimuli {
-            snap_write_stim(&mut w, s);
-        }
-        w.len(self.trace.len());
-        for e in self.trace.iter() {
-            snapshot::write_trace_event(&mut w, &e);
-        }
+        dispatch::snap_write_stimuli(&mut w, self.stimuli.iter());
+        dispatch::snap_write_trace(&mut w, &self.trace);
         match self.runtime_fallback.as_deref() {
             Some(why) => {
                 w.bool(true);
@@ -1407,43 +998,24 @@ impl<'d> ShardedSimulation<'d> {
             }
             None => w.bool(false),
         }
-        match self.obs.as_deref() {
-            Some(rec) => {
-                w.bool(true);
-                w.u32(rec.track);
-                w.bool(rec.stream_epochs);
-                snapshot::write_metrics(&mut w, &rec.metrics.to_raw());
-            }
-            None => w.bool(false),
-        }
+        dispatch::snap_write_recorder(&mut w, self.obs.as_deref());
         match self.engine_state.as_ref() {
             Some(st) => {
                 w.bool(true);
                 w.u64(st.total_steps);
                 w.u64(st.epoch_no);
-                w.len(st.stimuli.len());
-                for s in &st.stimuli {
-                    snap_write_stim(&mut w, s);
-                }
-                w.len(st.timers.len());
-                for t in &st.timers {
-                    w.u64(t.deadline);
-                    w.u64(t.seq);
-                    w.u32(u32::from(t.from));
-                    w.u32(u32::from(t.to));
-                    w.u32(u32::from(t.event));
-                    snapshot::write_values(&mut w, &t.args);
-                }
+                dispatch::snap_write_stimuli(&mut w, st.stimuli.iter());
+                dispatch::snap_write_timers(&mut w, &st.timers);
                 w.len(st.shards.len());
                 for s in &st.shards {
                     // Barrier invariant: epoch-local buffers are drained.
-                    debug_assert!(s.trace.is_empty() && s.outbox.is_empty());
-                    debug_assert!(s.new_timers.is_empty() && s.cancels.is_empty());
-                    s.store.snap_write(&mut w);
-                    snap_write_mail(&mut w, &s.mail);
-                    w.u64(s.rng.state());
-                    w.u64(s.local_seq);
-                    match s.obs.as_ref() {
+                    debug_assert!(s.core.trace.is_empty() && s.route.outbox.is_empty());
+                    debug_assert!(s.route.new_timers.is_empty() && s.route.cancels.is_empty());
+                    s.core.store.snap_write(&mut w);
+                    dispatch::snap_write_mail(&mut w, &s.core.mail);
+                    w.u64(s.core.rng.state());
+                    w.u64(s.route.local_seq);
+                    match s.core.obs.as_ref() {
                         Some(rec) => {
                             w.bool(true);
                             snapshot::write_metrics(&mut w, &rec.metrics.to_raw());
@@ -1471,26 +1043,10 @@ impl<'d> ShardedSimulation<'d> {
     /// or corrupt input, version or kind mismatch, or a snapshot taken
     /// against a different domain.
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<ShardedSimulation<'d>> {
-        let (mut r, kind) = snapshot::Reader::open(bytes, domain)?;
-        if kind != snapshot::KIND_SHARDED {
-            return Err(SnapError::Corrupt(format!(
-                "expected a sharded-engine snapshot, got kind {kind}"
-            )));
-        }
-        let policy = SchedPolicy {
-            seed: r.u64()?,
-            self_priority: r.bool()?,
-            pair_order: r.bool()?,
-            strict: r.bool()?,
-            shards: r.u32()? as usize,
-        };
-        let engine = match r.u8()? {
-            0 => Engine::Frames,
-            1 => Engine::Bc,
-            t => return Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
-        };
+        let (mut r, policy, engine) =
+            dispatch::snap_open(bytes, domain, snapshot::KIND_SHARDED, "sharded-engine")?;
         let mut sim = ShardedSimulation::with_policy(domain, policy);
-        sim.set_engine(engine); // rebuilds the dispatch table if != default
+        sim.set_engine(engine);
         sim.max_steps = r.u64()?;
         sim.now = r.u64()?;
         sim.dropped = r.u64()?;
@@ -1505,46 +1061,17 @@ impl<'d> ShardedSimulation<'d> {
                 AssocId::new(r.u32()?),
             ));
         }
-        let ns = r.len(28)?;
-        sim.stimuli.reserve(ns);
-        for _ in 0..ns {
-            sim.stimuli.push(snap_read_stim(&mut r)?);
-        }
-        let ne = r.len(13)?;
-        sim.trace.reserve(ne);
-        for _ in 0..ne {
-            sim.trace.push(snapshot::read_trace_event(&mut r)?);
-        }
+        sim.stimuli = dispatch::snap_read_stimuli(&mut r)?;
+        dispatch::snap_read_trace(&mut r, &mut sim.trace)?;
         if r.bool()? {
             sim.runtime_fallback = Some(r.str()?);
         }
-        if r.bool()? {
-            let mut rec = Recorder::new();
-            rec.track = r.u32()?;
-            rec.stream_epochs = r.bool()?;
-            rec.metrics = Metrics::from_raw(snapshot::read_metrics(&mut r)?);
-            sim.obs = Some(Box::new(rec));
-        }
+        sim.obs = dispatch::snap_read_recorder(&mut r)?;
         if r.bool()? {
             let total_steps = r.u64()?;
             let epoch_no = r.u64()?;
-            let ns = r.len(28)?;
-            let mut stimuli = VecDeque::with_capacity(ns);
-            for _ in 0..ns {
-                stimuli.push_back(snap_read_stim(&mut r)?);
-            }
-            let nt = r.len(32)?;
-            let mut timers = Vec::with_capacity(nt);
-            for _ in 0..nt {
-                timers.push(PendingTimer {
-                    deadline: r.u64()?,
-                    seq: r.u64()?,
-                    from: InstId::new(r.u32()?),
-                    to: InstId::new(r.u32()?),
-                    event: EventId::new(r.u32()?),
-                    args: snapshot::read_values(&mut r)?,
-                });
-            }
+            let stimuli = dispatch::snap_read_stimuli(&mut r)?.into();
+            let timers = dispatch::snap_read_timers(&mut r)?;
             let nshards = r.len(29)?;
             if nshards != sim.policy.shards {
                 return Err(SnapError::Corrupt(format!(
@@ -1555,14 +1082,7 @@ impl<'d> ShardedSimulation<'d> {
             let mut shards = Vec::with_capacity(nshards);
             for id in 0..nshards {
                 let store = ObjectStore::snap_read(&mut r)?;
-                let nq = r.len(8)?;
-                if nq != store.id_space() {
-                    return Err(SnapError::Corrupt(format!(
-                        "shard {id}: {nq} instance queues for an id space of {}",
-                        store.id_space()
-                    )));
-                }
-                let mail = snap_read_mail(&mut r, nq)?;
+                let mail = dispatch::snap_read_mail(&mut r, store.id_space())?;
                 let rng = SplitMix64::from_state(r.u64()?);
                 let local_seq = r.u64()?;
                 let obs = if r.bool()? {
@@ -1576,35 +1096,11 @@ impl<'d> ShardedSimulation<'d> {
                         }
                     };
                     child.metrics = Metrics::from_raw(raw);
-                    Some(child)
+                    Some(Box::new(child))
                 } else {
                     None
                 };
-                shards.push(ShardState {
-                    id,
-                    nshards,
-                    store,
-                    mail,
-                    rng,
-                    local_seq,
-                    trace: Trace::new(),
-                    outbox: Vec::new(),
-                    new_timers: Vec::new(),
-                    cancels: Vec::new(),
-                    dispatches: 0,
-                    dropped: 0,
-                    step_budget: sim.max_steps,
-                    max_steps: sim.max_steps,
-                    now: sim.now,
-                    strict: sim.policy.strict,
-                    self_priority: sim.policy.self_priority,
-                    frame_buf: Vec::new(),
-                    scratch_buf: Vec::new(),
-                    payloads: PayloadPool::new(),
-                    obs,
-                    epoch: epoch_no,
-                    epoch_busy_ns: 0,
-                });
+                shards.push(sim.replica(id, store, mail, rng, local_seq, obs));
             }
             sim.engine_state = Some(EngineState {
                 shards,
@@ -1617,22 +1113,4 @@ impl<'d> ShardedSimulation<'d> {
         r.expect_end()?;
         Ok(sim)
     }
-}
-
-fn snap_write_stim(w: &mut snapshot::Writer, s: &PendingStimulus) {
-    w.u64(s.time);
-    w.u64(s.seq);
-    w.u32(u32::from(s.to));
-    w.u32(u32::from(s.event));
-    snapshot::write_values(w, &s.args);
-}
-
-fn snap_read_stim(r: &mut snapshot::Reader<'_>) -> SnapResult<PendingStimulus> {
-    Ok(PendingStimulus {
-        time: r.u64()?,
-        seq: r.u64()?,
-        to: InstId::new(r.u32()?),
-        event: EventId::new(r.u32()?),
-        args: snapshot::read_values(r)?,
-    })
 }

@@ -7,6 +7,7 @@
 //! projection must agree between the sequential and sharded schedules.
 
 use xtuml_core::builder::{pipeline_domain, DomainBuilder};
+use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
 use xtuml_core::value::{DataType, Value};
 use xtuml_exec::{shard_safety, SchedPolicy, ShardedSimulation, Simulation};
@@ -538,4 +539,122 @@ fn timers_and_cancellation_work_sharded() {
     let tags: Vec<i64> = obs.iter().map(|o| o.args[0].as_int().unwrap()).collect();
     assert_eq!(tags.len(), 3, "three timers fire, one was cancelled");
     assert!(!tags.contains(&2), "cancelled timer must not fire");
+}
+
+/// The pipeline setup plus one unrelated `Stage0`/`Stage1` pair, so a
+/// late `relate` has something legal to link. Returns the pair.
+fn setup_with_spare_pair(sim: &mut ShardedSimulation<'_>, stages: usize) -> (InstId, InstId) {
+    setup_pipeline(sim, stages);
+    (sim.create("Stage0").unwrap(), sim.create("Stage1").unwrap())
+}
+
+fn spare_pair_trace(domain: &Domain, stages: usize, shards: usize) -> String {
+    let policy = SchedPolicy::seeded(5).with_shards(shards);
+    let mut sim = ShardedSimulation::with_policy(domain, policy);
+    setup_with_spare_pair(&mut sim, stages);
+    sim.run_to_quiescence(2).unwrap();
+    sim.trace().render(domain)
+}
+
+#[test]
+fn inject_rejects_past_times_like_the_sequential_engine() {
+    let stages = 6;
+    let domain = pipeline_domain(stages).unwrap();
+    for shards in [1usize, 4] {
+        let policy = SchedPolicy::seeded(5).with_shards(shards);
+        let mut sim = ShardedSimulation::with_policy(&domain, policy);
+        setup_pipeline(&mut sim, stages);
+        // shards=1 finishes in one call; shards=4 pauses at a barrier.
+        sim.run_epochs(2, 1).unwrap();
+        assert!(sim.now() > 0, "shards {shards}");
+        let err = sim
+            .inject(0, InstId::new(0), "Feed", vec![Value::Int(0)])
+            .unwrap_err();
+        let want = format!("cannot inject at past time 0 (now {})", sim.now());
+        assert!(err.to_string().contains(&want), "shards {shards}: {err}");
+
+        // The same check and text as the sequential engine's.
+        let mut seq = Simulation::with_policy(&domain, SchedPolicy::seeded(5));
+        let last = seq.create(&format!("Stage{}", stages - 1)).unwrap();
+        seq.inject(3, last, "Feed", vec![Value::Int(0)]).unwrap();
+        seq.run_to_quiescence().unwrap();
+        let seq_err = seq
+            .inject(0, last, "Feed", vec![Value::Int(0)])
+            .unwrap_err();
+        let seq_want = format!("cannot inject at past time 0 (now {})", seq.now());
+        assert!(seq_err.to_string().contains(&seq_want), "{seq_err}");
+    }
+}
+
+#[test]
+fn setup_is_closed_once_the_run_starts() {
+    // Setup made while the run is paused at a barrier (or after it
+    // finished) would never reach the engine, so it is an error — and
+    // the rejected calls leave the run intact: resuming still produces
+    // the uninterrupted trace.
+    let stages = 6;
+    let domain = pipeline_domain(stages).unwrap();
+    for shards in [1usize, 4] {
+        let reference = spare_pair_trace(&domain, stages, shards);
+        let policy = SchedPolicy::seeded(5).with_shards(shards);
+        let mut sim = ShardedSimulation::with_policy(&domain, policy);
+        let (a, b) = setup_with_spare_pair(&mut sim, stages);
+        let paused = sim.run_epochs(2, 1).unwrap().is_none();
+        assert_eq!(paused, shards > 1, "shards {shards}");
+        let later = sim.now() + 5;
+        let errors = [
+            sim.create("Stage0").map(|_| ()),
+            sim.relate(a, b, "R1"),
+            sim.inject(later, a, "Feed", vec![Value::Int(0)]),
+        ];
+        for e in errors {
+            let e = e.expect_err("setup after the run started must fail");
+            assert!(e.to_string().contains("run has started"), "{e}");
+        }
+        sim.run_to_quiescence(2).unwrap();
+        assert_eq!(sim.trace().render(&domain), reference, "shards {shards}");
+
+        // A restored paused or finished run keeps setup closed too.
+        let mut back = ShardedSimulation::restore(&domain, &sim.snapshot()).unwrap();
+        assert!(back.create("Stage0").is_err(), "shards {shards}");
+    }
+}
+
+#[test]
+fn a_finished_run_is_not_run_again() {
+    // A second run_to_quiescence after quiescence does nothing, as on
+    // the sequential engine: no rewind of time or trace, no setup
+    // totals counted twice.
+    let stages = 6;
+    let domain = pipeline_domain(stages).unwrap();
+    for shards in [1usize, 4] {
+        let policy = SchedPolicy::seeded(5).with_shards(shards);
+        let mut sim = ShardedSimulation::with_policy(&domain, policy);
+        sim.attach_recorder(xtuml_obs::Recorder::new());
+        setup_pipeline(&mut sim, stages);
+        assert!(sim.run_to_quiescence(2).unwrap() > 0);
+        let (now, trace) = (sim.now(), sim.trace().clone());
+        let rec = sim.take_recorder().unwrap();
+        let metrics = rec.metrics.to_json();
+        assert_eq!(
+            rec.metrics.get(xtuml_obs::Counter::InstancesCreated),
+            stages as u64
+        );
+        sim.attach_recorder(rec);
+
+        assert_eq!(sim.run_to_quiescence(2).unwrap(), 0, "shards {shards}");
+        assert_eq!(sim.run_epochs(2, 1).unwrap(), Some(0), "shards {shards}");
+        assert_eq!(sim.now(), now, "shards {shards}");
+        assert_eq!(sim.trace(), &trace, "shards {shards}");
+        assert_eq!(
+            sim.take_recorder().unwrap().metrics.to_json(),
+            metrics,
+            "shards {shards}"
+        );
+
+        // The finished state survives a snapshot round trip.
+        let mut back = ShardedSimulation::restore(&domain, &sim.snapshot()).unwrap();
+        assert_eq!(back.run_to_quiescence(2).unwrap(), 0, "shards {shards}");
+        assert_eq!((back.now(), back.trace()), (now, &trace), "shards {shards}");
+    }
 }
