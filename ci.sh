@@ -38,10 +38,11 @@ cargo run --quiet --release -- analyze models/lints/shardrace.xtuml \
     | grep -q 'race on `Cell.v`'
 
 # Fuzz-smoke gate: a fixed seed range of the conformance fuzzer must run
-# clean — the four-way differential (reference interpreter, frame
-# interpreter, bytecode VM, partitioned cosim) agrees on every generated
-# model — and the report must be byte-identical across two runs (the
-# whole pipeline is seed-deterministic). A non-zero divergence count
+# clean — the differential (reference interpreter, model interpreter,
+# partitioned cosim; the last two both on the bytecode VM, plus sharded
+# legs) agrees on every generated model — and the report must be
+# byte-identical across two runs (the whole pipeline is
+# seed-deterministic). A non-zero divergence count
 # already fails via the exit code; the cmp catches any nondeterminism
 # that happens to produce the same verdict.
 mkdir -p target
@@ -79,17 +80,6 @@ cmp target/run-par-1.txt target/run-par-2.txt
 cargo run --quiet --release -- fuzz --seeds 200 --jobs 4 > target/fuzz-smoke-par.txt
 cmp target/fuzz-smoke-1.txt target/fuzz-smoke-par.txt
 
-# Engine-equivalence gate: the compiled-frame interpreter must stay an
-# exact behavioural twin of the default bytecode VM. The fuzz sweep
-# above proves it across generated models; this proves it end to end on
-# a shipped model through the real CLI (`--engine frames` flips only
-# the action executor).
-cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
-    > target/run-engine-bc.txt
-cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
-    --engine frames > target/run-engine-frames.txt
-cmp target/run-engine-bc.txt target/run-engine-frames.txt
-
 # Telemetry gates (DESIGN §12). First the determinism contract: metric
 # snapshots must be byte-identical across worker counts and against the
 # plain sequential engine, and `xtuml stats` must match its goldens.
@@ -107,8 +97,8 @@ cargo run --quiet --release -- stats --check-profile target/ci-profile.json
 # measurement (telemetry compiled in but off — the default) is checked
 # against the blessed VM-era baseline at a 2% threshold, which subsumes
 # the 10% hard-regression bar the parallel bench uses. The bench binary
-# byte-compares the VM's trace against the frame interpreter's per
-# configuration before any timing is trusted. The baseline is blessed
+# checks each configuration's traced dispatch count against its closed
+# form (feeds x stages) before any timing is trusted. The baseline is blessed
 # from the minimum of several runs on the CI host, so the threshold
 # absorbs scheduler noise rather than re-measuring it.
 ( cd target && cargo run --quiet --release -p xtuml-bench --bin throughput )
@@ -127,9 +117,9 @@ awk '
 # engine overhead (every action body is empty), which is exactly the
 # surface the dispatch superloop optimizes — regressions here are
 # invisible in the pipeline bench, whose real action work dominates.
-# The binary byte-compares the engines on a scaled-down conformance
-# pass before timing, and interleaves its timed columns so heap and
-# frequency drift cannot masquerade as an engine difference. Gate at
+# The binary checks the traced dispatch count (instances x pings) on a
+# scaled-down pass before timing, and interleaves its timed columns so
+# heap and frequency drift cannot masquerade as a trace-mode difference. Gate at
 # 0.9x of the blessed baseline; like the interp baseline it is
 # host-specific and must be re-blessed when the CI host changes.
 ( cd target && cargo run --quiet --release -p xtuml-bench --bin dispatch )

@@ -7,15 +7,14 @@
 //! harness pins it down without the pipeline workload's action-execution
 //! noise.
 //!
-//! Before any timing is trusted, the VM's and the frame interpreter's
-//! full traces are byte-compared per configuration — a throughput number
-//! for a diverging engine would be meaningless. Timed columns:
+//! Before any timing is trusted, each configuration's traced run must
+//! hold exactly `insts * pings` dispatches — a throughput number for a
+//! run that did the wrong work would be meaningless. Timed columns:
 //!
-//! * `signals_per_sec` — bc engine, trace ring on (the shipped default;
-//!   this is the headline);
-//! * `trace_off_signals_per_sec` — bc engine, `--trace off`, isolating
-//!   what the ring itself costs per dispatch;
-//! * `frames_signals_per_sec` — the frame interpreter, ring on.
+//! * `signals_per_sec` — trace ring on (the shipped default; this is the
+//!   headline);
+//! * `trace_off_signals_per_sec` — `--trace off`, isolating what the
+//!   ring itself costs per dispatch.
 //!
 //! Results go to `BENCH_dispatch.json` in the current directory; with a
 //! `BENCH_dispatch.baseline.json` present (a prior blessed run of this
@@ -31,7 +30,7 @@
 use std::time::Instant;
 use xtuml_bench::history;
 use xtuml_bench::workloads::null_domain;
-use xtuml_exec::{Engine, Simulation, TraceMode};
+use xtuml_exec::{Simulation, TraceMode};
 
 /// One measured configuration: `insts` instances of `Nil`, `pings`
 /// signals queued on each. `insts == 1` keeps the scheduler's ready set
@@ -50,7 +49,6 @@ struct Row {
     best_secs: f64,
     signals_per_sec: f64,
     off_signals_per_sec: f64,
-    frames_signals_per_sec: f64,
 }
 
 fn build_sim(domain: &xtuml_core::model::Domain, insts: usize, pings: u64) -> Simulation<'_> {
@@ -66,71 +64,56 @@ fn build_sim(domain: &xtuml_core::model::Domain, insts: usize, pings: u64) -> Si
     sim
 }
 
-fn run_once(
-    domain: &xtuml_core::model::Domain,
-    insts: usize,
-    pings: u64,
-    engine: Engine,
-    mode: TraceMode,
-) -> f64 {
+fn run_once(domain: &xtuml_core::model::Domain, insts: usize, pings: u64, mode: TraceMode) -> f64 {
     let mut sim = build_sim(domain, insts, pings);
-    sim.set_engine(engine);
     sim.set_trace_mode(mode);
     let start = Instant::now();
     sim.run_to_quiescence().expect("run to quiescence");
     start.elapsed().as_secs_f64()
 }
 
-/// Conformance check before timing: byte-identical traces or bust.
+/// Conformance check before timing: every queued ping dispatched once.
 ///
-/// Runs a *scaled-down* stimulus count: divergence is a per-dispatch
+/// Runs a *scaled-down* stimulus count: a wrong count is a per-dispatch
 /// property, so a few thousand signals exercise every slot — and a
-/// full-size run here would clone and compare two multi-megabyte
-/// traces, leaving the allocator in a churned state that measurably
-/// (and unevenly, as the heap recovers over seconds) depresses the
-/// timed runs that follow.
-fn assert_engines_agree(domain: &xtuml_core::model::Domain, insts: usize, pings: u64) {
+/// full-size traced run here would leave a multi-megabyte trace behind,
+/// with the allocator in a churned state that measurably (and unevenly,
+/// as the heap recovers over seconds) depresses the timed runs that
+/// follow.
+fn assert_dispatch_count(domain: &xtuml_core::model::Domain, insts: usize, pings: u64) {
     let pings = pings.min(4_096);
-    let trace = |engine| {
-        let mut sim = build_sim(domain, insts, pings);
-        sim.set_engine(engine);
-        sim.run_to_quiescence().expect("run to quiescence");
-        sim.trace().clone()
-    };
+    let mut sim = build_sim(domain, insts, pings);
+    sim.run_to_quiescence().expect("run to quiescence");
     assert_eq!(
-        trace(Engine::Bc),
-        trace(Engine::Frames),
-        "insts={insts}: engines diverged — timing would be meaningless"
+        sim.trace().dispatch_count() as u64,
+        pings * insts as u64,
+        "insts={insts}: wrong dispatch count — timing would be meaningless"
     );
 }
 
 fn measure(domain: &xtuml_core::model::Domain, cfg: &Config) -> Row {
-    assert_engines_agree(domain, cfg.insts, cfg.pings);
+    assert_dispatch_count(domain, cfg.insts, cfg.pings);
     let signals = cfg.pings * cfg.insts as u64;
-    // Interleave the three columns round-robin and keep each column's
-    // best: allocator and frequency state drift over the measurement
-    // window, and a column measured only at the start (or only at the
-    // end) of it picks up that drift as a phantom engine difference.
-    let columns = [
-        (Engine::Bc, TraceMode::Full),
-        (Engine::Bc, TraceMode::Off),
-        (Engine::Frames, TraceMode::Full),
-    ];
-    let mut bests = [f64::INFINITY; 3];
-    for (engine, mode) in columns {
+    // Interleave the columns round-robin and keep each column's best:
+    // allocator and frequency state drift over the measurement window,
+    // and a column measured only at the start (or only at the end) of it
+    // picks up that drift as a phantom difference.
+    let columns = [TraceMode::Full, TraceMode::Off];
+    let mut bests = [f64::INFINITY; 2];
+    for mode in columns {
         // Untimed warmup per column; the workload is deterministic, so
         // the later minimum is the least-noise sample.
-        let _ = run_once(domain, cfg.insts, cfg.pings, engine, mode);
+        let _ = run_once(domain, cfg.insts, cfg.pings, mode);
     }
     for _ in 0..cfg.iters {
-        for (i, (engine, mode)) in columns.into_iter().enumerate() {
-            let secs = run_once(domain, cfg.insts, cfg.pings, engine, mode);
+        for (i, mode) in columns.into_iter().enumerate() {
+            let secs = run_once(domain, cfg.insts, cfg.pings, mode);
             if secs < bests[i] {
                 bests[i] = secs;
             }
         }
     }
-    let [best, off_best, frames_best] = bests;
+    let [best, off_best] = bests;
     Row {
         insts: cfg.insts,
         pings: cfg.pings,
@@ -138,7 +121,6 @@ fn measure(domain: &xtuml_core::model::Domain, cfg: &Config) -> Row {
         best_secs: best,
         signals_per_sec: signals as f64 / best,
         off_signals_per_sec: signals as f64 / off_best,
-        frames_signals_per_sec: signals as f64 / frames_best,
     }
 }
 
@@ -173,52 +155,40 @@ fn main() {
         .iter()
         .map(|r| r.signals as f64 / r.off_signals_per_sec)
         .sum();
-    let frames_secs: f64 = rows
-        .iter()
-        .map(|r| r.signals as f64 / r.frames_signals_per_sec)
-        .sum();
     let aggregate = total_signals as f64 / total_secs;
     let off_aggregate = total_signals as f64 / off_secs;
-    let frames_aggregate = total_signals as f64 / frames_secs;
 
     let mut json = String::new();
     json.push_str("{\n  \"workload\": \"null_dispatch\",\n  \"engine\": \"bc\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"insts\": {}, \"pings\": {}, \"signals\": {}, \"best_secs\": {:.6}, \"signals_per_sec\": {:.0}, \"trace_off_signals_per_sec\": {:.0}, \"frames_signals_per_sec\": {:.0}}}{}\n",
+            "    {{\"insts\": {}, \"pings\": {}, \"signals\": {}, \"best_secs\": {:.6}, \"signals_per_sec\": {:.0}, \"trace_off_signals_per_sec\": {:.0}}}{}\n",
             r.insts,
             r.pings,
             r.signals,
             r.best_secs,
             r.signals_per_sec,
             r.off_signals_per_sec,
-            r.frames_signals_per_sec,
             if i + 1 < rows.len() { "," } else { "" }
         ));
         println!(
-            "insts={:<4} pings={:<7} signals={:<7} best={:.3}ms  {:>12.0} signals/s  (off {:.0}, frames {:.0})",
+            "insts={:<4} pings={:<7} signals={:<7} best={:.3}ms  {:>12.0} signals/s  (off {:.0})",
             r.insts,
             r.pings,
             r.signals,
             r.best_secs * 1e3,
             r.signals_per_sec,
-            r.off_signals_per_sec,
-            r.frames_signals_per_sec
+            r.off_signals_per_sec
         );
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"trace_off_aggregate_signals_per_sec\": {off_aggregate:.0},\n"
     ));
-    json.push_str(&format!(
-        "  \"frames_aggregate_signals_per_sec\": {frames_aggregate:.0},\n"
-    ));
     // Keep the headline key *after* the other aggregate keys: the CI awk
     // takes the last line matching "aggregate_signals_per_sec" per file.
     json.push_str(&format!("  \"aggregate_signals_per_sec\": {aggregate:.0}"));
-    println!(
-        "aggregate: {aggregate:.0} signals/s (trace off {off_aggregate:.0}, frames {frames_aggregate:.0})"
-    );
+    println!("aggregate: {aggregate:.0} signals/s (trace off {off_aggregate:.0})");
 
     if let Ok(base) = std::fs::read_to_string("BENCH_dispatch.baseline.json") {
         if let Some(rate) = history::aggregate_rate(&base) {
@@ -238,16 +208,10 @@ fn main() {
         "BENCH_history.jsonl",
         "dispatch_null",
         aggregate,
-        &[
-            (
-                "trace_off_aggregate_signals_per_sec",
-                format!("{off_aggregate:.0}"),
-            ),
-            (
-                "frames_aggregate_signals_per_sec",
-                format!("{frames_aggregate:.0}"),
-            ),
-        ],
+        &[(
+            "trace_off_aggregate_signals_per_sec",
+            format!("{off_aggregate:.0}"),
+        )],
     )
     .expect("append BENCH_history.jsonl");
 }

@@ -1,19 +1,16 @@
 //! Self-timed interpreter throughput harness (no criterion needed).
 //!
 //! Runs the E3 pipeline workload — `stages` chained state machines each
-//! forwarding a counted token, `feeds` tokens injected at stage 0 — on
-//! **both** action executors: the register bytecode VM (the default hot
-//! path) and the compiled-frame interpreter it replaced. Before any
-//! timing is trusted, the two engines' full execution traces are
-//! byte-compared per configuration — a throughput number for an engine
-//! that diverges observably would be meaningless.
+//! forwarding a counted token, `feeds` tokens injected at stage 0 — with
+//! actions on the register bytecode VM. Before any timing is trusted,
+//! each configuration's trace must hold exactly `feeds * stages`
+//! dispatches (every token is consumed once per stage) — a throughput
+//! number for a run that did the wrong work would be meaningless.
 //!
-//! Results are written to `BENCH_interp.json` in the current directory;
-//! the headline `aggregate_signals_per_sec` is the VM's (what `run`
-//! ships), with the frame interpreter's rate and the per-row speedup
-//! alongside. If a `BENCH_interp.baseline.json` (a prior run of this
-//! same harness) is present there, the report also includes the speedup
-//! against it.
+//! Results are written to `BENCH_interp.json` in the current directory,
+//! headline `aggregate_signals_per_sec`. If a
+//! `BENCH_interp.baseline.json` (a prior run of this same harness) is
+//! present there, the report also includes the speedup against it.
 //!
 //! Usage: `cargo run --release -p xtuml-bench --bin throughput`
 //!
@@ -24,7 +21,7 @@ use std::time::Instant;
 use xtuml_bench::history;
 use xtuml_bench::workloads::pipeline_domain;
 use xtuml_core::value::Value;
-use xtuml_exec::{Engine, Simulation};
+use xtuml_exec::Simulation;
 
 /// One measured configuration of the pipeline workload.
 struct Config {
@@ -39,8 +36,6 @@ struct Row {
     signals: u64,
     best_secs: f64,
     signals_per_sec: f64,
-    frames_best_secs: f64,
-    frames_signals_per_sec: f64,
 }
 
 fn build_sim(domain: &xtuml_core::model::Domain, stages: usize, feeds: u64) -> Simulation<'_> {
@@ -59,10 +54,9 @@ fn build_sim(domain: &xtuml_core::model::Domain, stages: usize, feeds: u64) -> S
     sim
 }
 
-fn run_once(stages: usize, feeds: u64, engine: Engine) -> (u64, f64) {
+fn run_once(stages: usize, feeds: u64) -> (u64, f64) {
     let domain = pipeline_domain(stages).expect("pipeline domain builds");
     let mut sim = build_sim(&domain, stages, feeds);
-    sim.set_engine(engine);
     let start = Instant::now();
     sim.run_to_quiescence().expect("run to quiescence");
     let elapsed = start.elapsed().as_secs_f64();
@@ -70,30 +64,26 @@ fn run_once(stages: usize, feeds: u64, engine: Engine) -> (u64, f64) {
     (feeds * stages as u64, elapsed)
 }
 
-/// Conformance check before timing: the engines must produce the same
-/// execution trace, event for event, or the comparison is vacuous.
-fn assert_engines_agree(stages: usize, feeds: u64) {
+/// Conformance check before timing: the traced run must dispatch every
+/// token once per stage, or the rate is vacuous.
+fn assert_dispatch_count(stages: usize, feeds: u64) {
     let domain = pipeline_domain(stages).expect("pipeline domain builds");
-    let trace = |engine| {
-        let mut sim = build_sim(&domain, stages, feeds);
-        sim.set_engine(engine);
-        sim.run_to_quiescence().expect("run to quiescence");
-        sim.trace().clone()
-    };
+    let mut sim = build_sim(&domain, stages, feeds);
+    sim.run_to_quiescence().expect("run to quiescence");
     assert_eq!(
-        trace(Engine::Bc),
-        trace(Engine::Frames),
-        "stages={stages}: engines diverged — timing would be meaningless"
+        sim.trace().dispatch_count() as u64,
+        feeds * stages as u64,
+        "stages={stages}: wrong dispatch count — timing would be meaningless"
     );
 }
 
-fn best_of(iters: u32, stages: usize, feeds: u64, engine: Engine, signals: u64) -> f64 {
+fn best_of(iters: u32, stages: usize, feeds: u64, signals: u64) -> f64 {
     // One untimed warmup, then keep the best of `iters` timed runs: the
     // workload is deterministic, so the minimum is the least-noise sample.
-    let _ = run_once(stages, feeds, engine);
+    let _ = run_once(stages, feeds);
     let mut best = f64::INFINITY;
     for _ in 0..iters {
-        let (s, secs) = run_once(stages, feeds, engine);
+        let (s, secs) = run_once(stages, feeds);
         assert_eq!(s, signals, "workload must be deterministic");
         if secs < best {
             best = secs;
@@ -103,18 +93,15 @@ fn best_of(iters: u32, stages: usize, feeds: u64, engine: Engine, signals: u64) 
 }
 
 fn measure(cfg: &Config) -> Row {
-    assert_engines_agree(cfg.stages, cfg.feeds);
+    assert_dispatch_count(cfg.stages, cfg.feeds);
     let signals = cfg.feeds * cfg.stages as u64;
-    let best = best_of(cfg.iters, cfg.stages, cfg.feeds, Engine::Bc, signals);
-    let frames_best = best_of(cfg.iters, cfg.stages, cfg.feeds, Engine::Frames, signals);
+    let best = best_of(cfg.iters, cfg.stages, cfg.feeds, signals);
     Row {
         stages: cfg.stages,
         feeds: cfg.feeds,
         signals,
         best_secs: best,
         signals_per_sec: signals as f64 / best,
-        frames_best_secs: frames_best,
-        frames_signals_per_sec: signals as f64 / frames_best,
     }
 }
 
@@ -144,47 +131,34 @@ fn main() {
     let rows: Vec<Row> = configs.iter().map(measure).collect();
     let total_signals: u64 = rows.iter().map(|r| r.signals).sum();
     let total_secs: f64 = rows.iter().map(|r| r.best_secs).sum();
-    let frames_secs: f64 = rows.iter().map(|r| r.frames_best_secs).sum();
     let aggregate = total_signals as f64 / total_secs;
-    let frames_aggregate = total_signals as f64 / frames_secs;
-    let speedup_vs_frames = aggregate / frames_aggregate;
 
     let mut json = String::new();
     json.push_str("{\n  \"workload\": \"e3_pipeline\",\n  \"engine\": \"bc\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"stages\": {}, \"feeds\": {}, \"signals\": {}, \"best_secs\": {:.6}, \"signals_per_sec\": {:.0}, \"frames_signals_per_sec\": {:.0}, \"speedup_vs_frames\": {:.2}}}{}\n",
+            "    {{\"stages\": {}, \"feeds\": {}, \"signals\": {}, \"best_secs\": {:.6}, \"signals_per_sec\": {:.0}}}{}\n",
             r.stages,
             r.feeds,
             r.signals,
             r.best_secs,
             r.signals_per_sec,
-            r.frames_signals_per_sec,
-            r.signals_per_sec / r.frames_signals_per_sec,
             if i + 1 < rows.len() { "," } else { "" }
         ));
         println!(
-            "stages={:<3} feeds={:<5} signals={:<6} best={:.3}ms  {:>12.0} signals/s  ({:.2}x vs frames {:.0})",
+            "stages={:<3} feeds={:<5} signals={:<6} best={:.3}ms  {:>12.0} signals/s",
             r.stages,
             r.feeds,
             r.signals,
             r.best_secs * 1e3,
-            r.signals_per_sec,
-            r.signals_per_sec / r.frames_signals_per_sec,
-            r.frames_signals_per_sec
+            r.signals_per_sec
         );
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"frames_aggregate_signals_per_sec\": {frames_aggregate:.0},\n"
-    ));
-    json.push_str(&format!(
-        "  \"speedup_vs_frames\": {speedup_vs_frames:.2},\n"
-    ));
-    // Keep the headline key *after* the frames key: the CI awk takes the
-    // last line matching "aggregate_signals_per_sec" per file.
+    // The CI awk takes the last line matching "aggregate_signals_per_sec"
+    // per file.
     json.push_str(&format!("  \"aggregate_signals_per_sec\": {aggregate:.0}"));
-    println!("aggregate: {aggregate:.0} signals/s ({speedup_vs_frames:.2}x vs frames {frames_aggregate:.0})");
+    println!("aggregate: {aggregate:.0} signals/s");
 
     if let Ok(base) = std::fs::read_to_string("BENCH_interp.baseline.json") {
         if let Some(rate) = history::aggregate_rate(&base) {
@@ -200,17 +174,6 @@ fn main() {
     json.push_str("\n}\n");
 
     std::fs::write("BENCH_interp.json", json).expect("write BENCH_interp.json");
-    history::append_with(
-        "BENCH_history.jsonl",
-        "interp_throughput",
-        aggregate,
-        &[
-            (
-                "frames_aggregate_signals_per_sec",
-                format!("{frames_aggregate:.0}"),
-            ),
-            ("speedup_vs_frames", format!("{speedup_vs_frames:.2}")),
-        ],
-    )
-    .expect("append BENCH_history.jsonl");
+    history::append("BENCH_history.jsonl", "interp_throughput", aggregate)
+        .expect("append BENCH_history.jsonl");
 }

@@ -422,6 +422,35 @@ mod tests {
         assert_eq!(t.rows[0][4], "0");
         // Some split row must move messages.
         assert!(t.rows.iter().any(|r| r[4] != "0"));
+        // The cycle columns of the EXPERIMENTS.md configuration, pinned:
+        // the swrt and HW cost models consume each action's step count,
+        // so any drift in step semantics moves these numbers.
+        let t = e4_cosim(4, 6, &[1, 4, 16]);
+        let cycles: Vec<[&str; 5]> = t
+            .rows
+            .iter()
+            .map(|r| [&r[0], &r[1], &r[2], &r[3], &r[4]].map(String::as_str))
+            .collect();
+        assert_eq!(
+            cycles,
+            [
+                ["0/4", "1", "2324", "4776", "0"],
+                ["0/4", "4", "2324", "4776", "0"],
+                ["0/4", "16", "2324", "4776", "0"],
+                ["1/4", "1", "1737", "3600", "6"],
+                ["1/4", "4", "1740", "3600", "6"],
+                ["1/4", "16", "1752", "3600", "6"],
+                ["2/4", "1", "1078", "2280", "6"],
+                ["2/4", "4", "1081", "2280", "6"],
+                ["2/4", "16", "1093", "2280", "6"],
+                ["3/4", "1", "419", "960", "6"],
+                ["3/4", "4", "422", "960", "6"],
+                ["3/4", "16", "434", "960", "6"],
+                ["4/4", "1", "101", "0", "0"],
+                ["4/4", "4", "101", "0", "0"],
+                ["4/4", "16", "101", "0", "0"],
+            ]
+        );
     }
 
     #[test]

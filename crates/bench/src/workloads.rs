@@ -283,25 +283,24 @@ mod tests {
 
     #[test]
     fn null_domain_dispatches_without_doing_anything() {
-        use xtuml_exec::{Engine, Simulation};
+        use xtuml_exec::{Simulation, TraceEvent};
         let d = null_domain();
-        let run = |engine| {
-            let mut sim = Simulation::new(&d);
-            let nil = sim.create("Nil").unwrap();
-            for _ in 0..16 {
-                sim.inject(0, nil, "Ping", vec![]).unwrap();
-            }
-            sim.set_engine(engine);
-            sim.run_to_quiescence().unwrap();
-            let fired = sim
-                .trace()
-                .iter()
-                .filter(|e| matches!(e, xtuml_exec::TraceEvent::Dispatch { .. }))
-                .count();
-            assert_eq!(fired, 16);
-            sim.trace().clone()
-        };
-        assert_eq!(run(Engine::Bc), run(Engine::Frames));
+        let mut sim = Simulation::new(&d);
+        let nil = sim.create("Nil").unwrap();
+        for _ in 0..16 {
+            sim.inject(0, nil, "Ping", vec![]).unwrap();
+        }
+        sim.run_to_quiescence().unwrap();
+        // One create, then exactly one dispatch per ping and nothing else:
+        // the empty action sends, sets and creates nothing.
+        let trace = sim.trace();
+        assert_eq!(trace.dispatch_count(), 16);
+        assert_eq!(trace.len(), 17);
+        assert!(trace
+            .iter()
+            .skip(1)
+            .all(|e| matches!(e, TraceEvent::Dispatch { .. })));
+        assert_eq!(sim.now(), 16);
     }
 
     #[test]

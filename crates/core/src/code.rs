@@ -246,7 +246,8 @@ impl FrameLayout {
     }
 }
 
-/// One compiled action block, ready to execute against any
+/// One compiled action block, ready to lower to bytecode
+/// ([`bc`](crate::bc)) and execute against any
 /// [`ActionHost`](crate::interp::ActionHost).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CAction {
@@ -256,14 +257,6 @@ pub struct CAction {
     pub code: Vec<CStmt>,
     /// Slot layout of the execution frame.
     pub layout: FrameLayout,
-}
-
-impl CAction {
-    /// Number of frame slots an [`ExecCtx`](crate::interp::ExecCtx) for
-    /// this action must hold.
-    pub fn frame_len(&self) -> usize {
-        self.layout.len()
-    }
 }
 
 /// Compiles a block for execution with `self` of class `self_class` and
@@ -790,7 +783,7 @@ mod tests {
         assert_eq!(a.layout.name(0), "v");
         assert_eq!(a.layout.slot("x"), Some(1));
         assert_eq!(a.layout.slot("y"), Some(2));
-        assert_eq!(a.frame_len(), 3);
+        assert_eq!(a.layout.len(), 3);
     }
 
     #[test]

@@ -66,10 +66,9 @@ pub enum Code {
     /// non-self attribute access): `--shards N` falls back to sequential
     /// execution.
     ShardUnsafe,
-    /// `X0016` — a state action using a construct the bytecode lowering
-    /// does not cover (or one that exceeds the 16-bit operand encoding):
-    /// `--engine bc` falls back to the compiled-frame interpreter for that
-    /// action.
+    /// `X0016` — a state action the bytecode lowering cannot encode (it
+    /// exceeds the 16-bit operand encoding): the model loads, and
+    /// dispatching that (class, state, event) pair raises this error.
     BcUnsupported,
     /// `X0017` — two state actions access the same written attribute
     /// through receiver shapes the effect analysis cannot reconcile to
@@ -155,7 +154,8 @@ impl Code {
             | Code::UnresolvedReference
             | Code::TypeError
             | Code::BadDefault
-            | Code::UnmarshallableChannel => Severity::Error,
+            | Code::UnmarshallableChannel
+            | Code::BcUnsupported => Severity::Error,
             Code::UnreachableState
             | Code::DeadEvent
             | Code::DeadTransition
@@ -165,7 +165,7 @@ impl Code {
             | Code::UnknownMarkTarget
             | Code::HardwareStringPayload
             | Code::CrossShardRace => Severity::Warning,
-            Code::ConstantAttribute | Code::ShardUnsafe | Code::BcUnsupported => Severity::Note,
+            Code::ConstantAttribute | Code::ShardUnsafe => Severity::Note,
         }
     }
 

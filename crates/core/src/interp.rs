@@ -1,30 +1,26 @@
-//! The action-language evaluator, parameterised over an execution host.
+//! The execution-host contract actions run against.
 //!
 //! The paper's model compiler "may [implement the model] any manner it
 //! chooses so long as the defined behavior is preserved" (§4). We make the
-//! *defined behaviour* a single reusable artifact: this module executes
-//! compiled action blocks (see [`code`](crate::code)) against the
-//! [`ActionHost`] trait, and every execution platform in the workspace —
-//! the abstract model interpreter (`xtuml-exec`), the generated-hardware
-//! FSMs (`xtuml-mda` lowering onto `xtuml-rtl`) and the generated-software
-//! tasks (`xtuml-mda` lowering onto `xtuml-swrt`) — implements
-//! `ActionHost` over its own object store and signal transport.
-//! Behavioural equivalence across partitions then reduces to the hosts'
-//! transport semantics, which is exactly what the verification layer
-//! checks.
+//! *defined behaviour* a single reusable artifact: compiled action blocks
+//! (see [`code`](crate::code)) are lowered to bytecode and executed by the
+//! one VM in [`bc`](crate::bc) against the [`ActionHost`] trait defined
+//! here, and every execution platform in the workspace — the abstract
+//! model interpreter (`xtuml-exec`), the generated-hardware FSMs
+//! (`xtuml-mda` lowering onto `xtuml-rtl`) and the generated-software tasks
+//! (`xtuml-mda` lowering onto `xtuml-swrt`) — implements `ActionHost` over
+//! its own object store and signal transport. Behavioural equivalence
+//! across partitions then reduces to the hosts' transport semantics,
+//! which is exactly what the verification layer checks.
 //!
-//! Actions execute from the slot-resolved IR, not the AST: variables live
-//! in a dense frame (`Vec<Option<Value>>`), attributes/associations/events
-//! are pre-resolved ids, so the per-dispatch cost is a plain tree walk
-//! with no name lookups. Fuel accounting is unchanged from the AST
-//! evaluator — one unit per statement and per expression node — so the
-//! substrates' cost models see identical step counts.
+//! [`ExecCtx`] carries one run-to-completion block's frame and its fuel:
+//! one unit per statement and per expression node, so the substrates'
+//! cost models read the same step counts on every platform.
 
-use crate::code::{CAction, CExpr, CStmt, Slot};
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use crate::model::Domain;
-use crate::value::{apply_binop, apply_unop, Value};
+use crate::value::Value;
 
 /// The services an execution platform provides to running actions.
 ///
@@ -248,15 +244,6 @@ pub enum Outcome {
     Returned,
 }
 
-/// Control-flow signal inside loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Normal,
-    Broke,
-    Continued,
-    Returned,
-}
-
 /// Default fuel: maximum primitive steps per action block before the
 /// interpreter assumes a runaway loop. Run-to-completion semantics make an
 /// unbounded action block a model error, not a scheduling choice.
@@ -270,15 +257,11 @@ pub struct ExecCtx {
     /// Static class of `self_inst` (from the compiled action).
     pub self_class: ClassId,
     /// The execution frame: event parameters in the leading slots, locals
-    /// after them. `None` marks a slot not yet assigned.
+    /// after them, then the VM's temporaries. `None` marks a slot not yet
+    /// assigned.
     pub frame: Vec<Option<Value>>,
     /// Candidate binding for `selected` inside `where` clauses.
     pub(crate) selected: Option<Value>,
-    /// Reusable candidate buffer for filtered selects: the filter needs
-    /// `&mut host`, so candidates must be materialised before evaluation,
-    /// but hot dispatch loops can hand the buffer back in (like `frame`)
-    /// so steady-state filtered selects allocate nothing.
-    pub scratch: Vec<InstId>,
     /// Primitive-step counter (statements + expression nodes); the
     /// substrates convert this into cycles.
     pub steps: u64,
@@ -287,15 +270,10 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// Creates a context sized for `action`, with all slots unassigned.
-    pub fn new(self_inst: InstId, action: &CAction) -> ExecCtx {
-        ExecCtx::with_frame(self_inst, action.self_class, vec![None; action.frame_len()])
-    }
-
     /// Creates a context over a caller-provided frame, allowing hot
     /// dispatch loops to reuse one frame allocation across steps. The
-    /// frame must already be sized to the action's
-    /// [`frame_len`](CAction::frame_len).
+    /// frame must already be sized to the lowered action's
+    /// [`n_regs`](crate::bc::BcAction::n_regs).
     pub fn with_frame(
         self_inst: InstId,
         self_class: ClassId,
@@ -306,7 +284,6 @@ impl ExecCtx {
             self_class,
             frame,
             selected: None,
-            scratch: Vec::new(),
             steps: 0,
             fuel: DEFAULT_FUEL,
         }
@@ -333,425 +310,16 @@ impl ExecCtx {
     }
 }
 
-/// Executes a compiled action to completion against `host`.
-///
-/// Returns the outcome and leaves the accumulated step count in
-/// `ctx.steps` (the substrates' cost models read it).
-///
-/// # Errors
-///
-/// Propagates runtime errors ([`CoreError::Runtime`]) and unbound-slot
-/// reads ([`CoreError::Unresolved`]) from the statements executed.
-pub fn run_code<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-) -> Result<Outcome> {
-    match exec_stmts(host, ctx, action, &action.code)? {
-        Flow::Returned => Ok(Outcome::Returned),
-        Flow::Broke | Flow::Continued => {
-            Err(CoreError::runtime("`break`/`continue` outside of a loop"))
-        }
-        Flow::Normal => Ok(Outcome::Completed),
-    }
-}
-
-fn exec_stmts<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    stmts: &[CStmt],
-) -> Result<Flow> {
-    for stmt in stmts {
-        match exec_stmt(host, ctx, action, stmt)? {
-            Flow::Normal => {}
-            other => return Ok(other),
-        }
-    }
-    Ok(Flow::Normal)
-}
-
-fn exec_stmt<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    stmt: &CStmt,
-) -> Result<Flow> {
-    ctx.burn(1)?;
-    match stmt {
-        CStmt::AssignSlot { slot, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            ctx.frame[*slot] = Some(v);
-            Ok(Flow::Normal)
-        }
-        CStmt::AssignAttr { base, attr, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            // Same `self.x` fast path as `CExpr::Attr` in [`eval`].
-            let inst = if matches!(base, CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_write(inst, *attr, v)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Create { slot, class } => {
-            let inst = host.create(*class)?;
-            ctx.frame[*slot] = Some(Value::Inst(*class, Some(inst)));
-            Ok(Flow::Normal)
-        }
-        CStmt::Delete { expr } => {
-            let inst = eval(host, ctx, action, expr)?.as_inst()?;
-            host.delete(inst)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::SelectAny {
-            slot,
-            class,
-            filter,
-        } => {
-            let picked = match filter {
-                None => {
-                    let first = host.first_instance_of(*class);
-                    if first.is_some() {
-                        ctx.burn(1)?;
-                    }
-                    first
-                }
-                Some(f) => select_first(host, ctx, action, *class, f)?,
-            };
-            ctx.frame[*slot] = Some(Value::Inst(*class, picked));
-            Ok(Flow::Normal)
-        }
-        CStmt::SelectMany {
-            slot,
-            class,
-            filter,
-        } => {
-            let matched = match filter {
-                None => {
-                    let all = host.instances_of(*class);
-                    ctx.burn(all.len() as u64)?;
-                    all
-                }
-                Some(f) => select_filtered(host, ctx, action, *class, f)?,
-            };
-            ctx.frame[*slot] = Some(Value::Set(*class, matched));
-            Ok(Flow::Normal)
-        }
-        CStmt::Relate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.relate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Unrelate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.unrelate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::GenInst {
-            event,
-            args,
-            target,
-            delay,
-        } => {
-            match delay {
-                None => {
-                    // Hot path: build the payload in a pooled buffer
-                    // (same recycling the bytecode VM's sends use), so
-                    // steady-state frame-interpreted sends allocate
-                    // nothing either.
-                    let payload = eval_payload(host, ctx, action, args)?;
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    host.send_arc(ctx.self_inst, to, *event, payload)?;
-                }
-                Some(d) => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(eval(host, ctx, action, a)?);
-                    }
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    let ticks = eval(host, ctx, action, d)?.as_int()?;
-                    if ticks < 0 {
-                        return Err(CoreError::runtime("negative signal delay"));
-                    }
-                    host.send_delayed(ctx.self_inst, to, *event, vals, ticks)?;
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::GenActor { actor, event, args } => {
-            let payload = eval_payload(host, ctx, action, args)?;
-            host.send_actor_arc(ctx.self_inst, *actor, *event, payload)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Cancel { event } => {
-            host.cancel_delayed(ctx.self_inst, *event)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::If { arms, otherwise } => {
-            for (cond, body) in arms {
-                if eval(host, ctx, action, cond)?.as_bool()? {
-                    return exec_stmts(host, ctx, action, body);
-                }
-            }
-            if let Some(body) = otherwise {
-                return exec_stmts(host, ctx, action, body);
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::While { cond, body } => {
-            while eval(host, ctx, action, cond)?.as_bool()? {
-                ctx.burn(1)?;
-                match exec_stmts(host, ctx, action, body)? {
-                    Flow::Broke => break,
-                    Flow::Returned => return Ok(Flow::Returned),
-                    Flow::Normal | Flow::Continued => {}
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::ForEach { slot, set, body } => {
-            let set_v = eval(host, ctx, action, set)?;
-            let Value::Set(class, items) = set_v else {
-                return Err(CoreError::runtime(format!(
-                    "foreach needs a set, got {}",
-                    set_v.data_type()
-                )));
-            };
-            for item in items {
-                ctx.burn(1)?;
-                ctx.frame[*slot] = Some(Value::Inst(class, Some(item)));
-                match exec_stmts(host, ctx, action, body)? {
-                    Flow::Broke => break,
-                    Flow::Returned => return Ok(Flow::Returned),
-                    Flow::Normal | Flow::Continued => {}
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::Break => Ok(Flow::Broke),
-        CStmt::Continue => Ok(Flow::Continued),
-        CStmt::Return => Ok(Flow::Returned),
-        CStmt::ExprStmt(expr) => {
-            eval(host, ctx, action, expr)?;
-            Ok(Flow::Normal)
-        }
-    }
-}
-
-/// `select any … where f`: first candidate passing the filter.
-fn select_first<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    class: ClassId,
-    filter: &CExpr,
-) -> Result<Option<InstId>> {
-    // The filter needs `&mut host`, so candidates must be materialised
-    // before evaluation (the host cannot be borrowed while iterating it)
-    // — into the reusable scratch buffer, not a fresh `Vec`.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
-    let mut picked = None;
-    for &inst in &cands {
-        ctx.burn(1)?;
-        let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
-        ctx.selected = saved;
-        match keep {
-            Ok(true) => {
-                picked = Some(inst);
-                break;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
-        }
-    }
-    ctx.scratch = cands;
-    Ok(picked)
-}
-
-/// `select many … where f`: all candidates passing the filter.
-fn select_filtered<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    class: ClassId,
-    filter: &CExpr,
-) -> Result<Vec<InstId>> {
-    // The output `Vec` is the result (it becomes a `Value::Set`), but the
-    // candidate list goes through the reusable scratch buffer.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
-    let mut out = Vec::new();
-    for &inst in &cands {
-        ctx.burn(1)?;
-        let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
-        ctx.selected = saved;
-        match keep {
-            Ok(true) => out.push(inst),
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
-        }
-    }
-    ctx.scratch = cands;
-    Ok(out)
-}
-
-/// Evaluates send arguments into an `Arc<[Value]>` payload, reusing a
-/// uniquely-owned buffer from the host's payload pool when one of the
-/// right arity is available, and allocating otherwise. Argument
-/// evaluation order (and therefore burn/error order) matches the plain
-/// `Vec` path exactly.
-fn eval_payload<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    args: &[CExpr],
-) -> Result<std::sync::Arc<[Value]>> {
-    match host.take_payload(args.len()) {
-        Some(mut arc) => {
-            for (i, a) in args.iter().enumerate() {
-                let v = eval(host, ctx, action, a)?;
-                std::sync::Arc::get_mut(&mut arc).expect("pooled payloads are uniquely owned")[i] =
-                    v;
-            }
-            Ok(arc)
-        }
-        None => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            Ok(std::sync::Arc::from(vals))
-        }
-    }
-}
-
-fn unbound_slot(action: &CAction, slot: Slot) -> CoreError {
-    let kind = if slot < action.layout.params() {
-        "event parameter"
-    } else {
-        "variable"
-    };
-    CoreError::unresolved(kind, action.layout.name(slot).to_owned())
-}
-
-/// Evaluates a compiled expression.
-///
-/// # Errors
-///
-/// Propagates runtime and unbound-slot errors.
-pub fn eval<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    expr: &CExpr,
-) -> Result<Value> {
-    ctx.burn(1)?;
-    match expr {
-        CExpr::Lit(v) => Ok(v.clone()),
-        CExpr::Slot(slot) => ctx.frame[*slot]
-            .clone()
-            .ok_or_else(|| unbound_slot(action, *slot)),
-        CExpr::SelfRef => Ok(Value::Inst(ctx.self_class, Some(ctx.self_inst))),
-        CExpr::Selected => ctx
-            .selected
-            .clone()
-            .ok_or_else(|| CoreError::runtime("`selected` used outside a `where` clause")),
-        CExpr::Attr(base, attr) => {
-            // `self.x` is the dominant shape: burn the base node's step
-            // without materialising a `Value::Inst` round trip.
-            let inst = if matches!(base.as_ref(), CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_read(inst, *attr)
-        }
-        CExpr::Nav {
-            base,
-            assoc,
-            target,
-        } => {
-            let base_v = eval(host, ctx, action, base)?;
-            let mut out: Vec<InstId> = Vec::new();
-            let mut visit = |src: InstId, host: &H| {
-                host.related_each(src, *assoc, &mut |t| {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                })
-            };
-            match base_v {
-                Value::Inst(_, Some(i)) => visit(i, host)?,
-                Value::Inst(_, None) => {}
-                Value::Set(_, items) => {
-                    for src in items {
-                        visit(src, host)?;
-                    }
-                }
-                other => {
-                    return Err(CoreError::runtime(format!(
-                        "cannot navigate from {}",
-                        other.data_type()
-                    )))
-                }
-            }
-            Ok(Value::Set(*target, out))
-        }
-        CExpr::Unary(op, e) => {
-            // Slot operands are read by reference: `any(set)` must not
-            // clone the whole set to pick one element. Burn the step the
-            // slot read would have burned.
-            if let CExpr::Slot(slot) = e.as_ref() {
-                ctx.burn(1)?;
-                let v = ctx.frame[*slot]
-                    .as_ref()
-                    .ok_or_else(|| unbound_slot(action, *slot))?;
-                return apply_unop(*op, v);
-            }
-            let v = eval(host, ctx, action, e)?;
-            apply_unop(*op, &v)
-        }
-        CExpr::Binary(op, a, b) => {
-            let va = eval(host, ctx, action, a)?;
-            let vb = eval(host, ctx, action, b)?;
-            apply_binop(*op, &va, &vb)
-        }
-        CExpr::Bridge { actor, func, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            host.bridge_call(*actor, func, vals)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::compile_block;
+    use crate::bc::{lower_action, run_bc};
+    use crate::code::{compile_block, CAction};
     use crate::model::{Actor, Attribute, Class, EventDecl};
     use crate::parse::parse_block;
     use crate::value::DataType;
 
-    /// A minimal in-memory host for interpreter unit tests.
+    /// A minimal in-memory host for execution unit tests.
     struct MiniHost {
         domain: Domain,
         // (class, attrs, alive)
@@ -967,13 +535,29 @@ mod tests {
         }
     }
 
-    fn run(host: &mut MiniHost, self_inst: InstId, src: &str) -> Result<Run> {
+    /// Compiles `src` with `params`, lowers it, and runs it on the VM with
+    /// `args` bound and `fuel`.
+    fn exec(
+        host: &mut MiniHost,
+        self_inst: InstId,
+        src: &str,
+        params: &[(String, DataType)],
+        args: Vec<Value>,
+        fuel: u64,
+    ) -> Result<Run> {
         let block = parse_block(src).unwrap();
         let self_class = host.class_of(self_inst)?;
-        let action = compile_block(&host.domain, self_class, &[], &block)?;
-        let mut ctx = ExecCtx::new(self_inst, &action);
-        run_code(host, &mut ctx, &action)?;
+        let action = compile_block(&host.domain, self_class, params, &block)?;
+        let bca = lower_action(&action).unwrap();
+        let mut ctx = ExecCtx::with_frame(self_inst, self_class, vec![None; bca.n_regs]);
+        ctx.fuel = fuel;
+        ctx.bind_args(args);
+        run_bc(host, &mut ctx, &bca)?;
         Ok(Run { action, ctx })
+    }
+
+    fn run(host: &mut MiniHost, self_inst: InstId, src: &str) -> Result<Run> {
+        exec(host, self_inst, src, &[], Vec::new(), DEFAULT_FUEL)
     }
 
     fn host_with_counter() -> (MiniHost, InstId) {
@@ -1119,11 +703,7 @@ mod tests {
     #[test]
     fn runaway_loop_exhausts_fuel() {
         let (mut h, i) = host_with_counter();
-        let block = parse_block("while (true) { x = 1; }").unwrap();
-        let action = compile_block(&h.domain, ClassId::new(0), &[], &block).unwrap();
-        let mut ctx = ExecCtx::new(i, &action);
-        ctx.fuel = 1000;
-        let err = run_code(&mut h, &mut ctx, &action).unwrap_err();
+        let err = exec(&mut h, i, "while (true) { x = 1; }", &[], Vec::new(), 1000).unwrap_err();
         assert!(err.to_string().contains("fuel"));
     }
 
@@ -1138,34 +718,26 @@ mod tests {
     #[test]
     fn event_params_via_rcvd() {
         let (mut h, i) = host_with_counter();
-        let block = parse_block("self.n = rcvd.v * 2;").unwrap();
-        let action = compile_block(
-            &h.domain,
-            ClassId::new(0),
-            &[("v".to_owned(), DataType::Int)],
-            &block,
-        )
-        .unwrap();
-        let mut ctx = ExecCtx::new(i, &action);
-        ctx.bind_args([Value::Int(21)]);
-        run_code(&mut h, &mut ctx, &action).unwrap();
+        let params = [("v".to_owned(), DataType::Int)];
+        let src = "self.n = rcvd.v * 2;";
+        exec(&mut h, i, src, &params, vec![Value::Int(21)], DEFAULT_FUEL).unwrap();
         assert_eq!(h.attr_read(i, AttrId::new(0)).unwrap(), Value::Int(42));
     }
 
     #[test]
     fn unbound_param_read_is_resolution_error() {
         let (mut h, i) = host_with_counter();
-        let block = parse_block("self.n = rcvd.v * 2;").unwrap();
-        let action = compile_block(
-            &h.domain,
-            ClassId::new(0),
-            &[("v".to_owned(), DataType::Int)],
-            &block,
-        )
-        .unwrap();
+        let params = [("v".to_owned(), DataType::Int)];
         // No arguments bound: the parameter slot stays empty.
-        let mut ctx = ExecCtx::new(i, &action);
-        let err = run_code(&mut h, &mut ctx, &action).unwrap_err();
+        let err = exec(
+            &mut h,
+            i,
+            "self.n = rcvd.v * 2;",
+            &params,
+            Vec::new(),
+            DEFAULT_FUEL,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             CoreError::Unresolved {
@@ -1197,8 +769,7 @@ mod tests {
     #[test]
     fn use_before_assignment_is_a_runtime_resolution_error() {
         // Flow-insensitive compilation allocates the slot, but reading it
-        // before any assignment executed must still fail, as the
-        // name-resolving evaluator did.
+        // before any assignment executed must still fail.
         let (mut h, i) = host_with_counter();
         let err = run(
             &mut h,

@@ -16,11 +16,12 @@
 //! * **marks** (paper §3) — lightweight, non-intrusive annotations kept
 //!   *outside* the model ([`marks::MarkSet`]).
 //!
-//! The crate also provides the shared action-language interpreter
-//! ([`interp`]): the same evaluator executes actions in the abstract model
-//! interpreter (`xtuml-exec`), in the generated-hardware substrate and in
-//! the generated-software substrate (`xtuml-mda`), which is how the paper's
-//! "defined behavior is preserved" guarantee is made testable.
+//! The crate also provides the shared action executor: the bytecode VM
+//! ([`bc`]) behind the execution-host contract ([`interp`]). The same VM
+//! executes actions in the abstract model interpreter (`xtuml-exec`), in
+//! the generated-hardware substrate and in the generated-software
+//! substrate (`xtuml-mda`), which is how the paper's "defined behavior is
+//! preserved" guarantee is made testable.
 //!
 //! ```
 //! use xtuml_core::builder::DomainBuilder;

@@ -7,8 +7,8 @@
 //! completion against an [`ActionHost`]. This module is that common
 //! part, written once:
 //!
-//! * [`Program`] — the compiled model: frames, bytecode, the executor
-//!   selection with its dispatch table, and interned span names;
+//! * [`Program`] — the compiled model: the dispatch table over the
+//!   lowered bytecode, and interned span names;
 //! * [`Core`] — the mutable engine state (store, mailboxes, PRNG, trace,
 //!   recorder, recycled buffers) and its single dispatch body;
 //! * [`Host`] — the single [`ActionHost`] actions run against.
@@ -22,16 +22,16 @@
 
 use crate::mailbox::Mailboxes;
 use crate::sched::{SchedPolicy, SplitMix64};
-use crate::sim::{BridgeFn, Engine};
+use crate::sim::BridgeFn;
 use crate::snapshot::{self, Reader, SnapError, SnapResult, Writer};
 use crate::store::ObjectStore;
 use crate::trace::Trace;
 use std::sync::Arc;
-use xtuml_core::bc::{self, BcAction, BcEntry, BcProgram};
+use xtuml_core::bc::{self, BcAction, BcProgram};
 use xtuml_core::code::CompiledProgram;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};
-use xtuml_core::interp::{self, ActionHost, ExecCtx, Outcome};
+use xtuml_core::interp::{ActionHost, ExecCtx};
 use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Metrics, Recorder, Sink as _};
@@ -127,20 +127,17 @@ impl PayloadPool {
 /// How a resolved dispatch slot executes its action.
 #[derive(Debug, Clone)]
 enum Exec {
-    /// Run the lowered bytecode action directly.
+    /// Run the lowered bytecode action.
     Vm(Arc<BcAction>),
-    /// Run the compiled frames. `fallback` marks slots the bytecode
-    /// lowering could not encode under [`Engine::Bc`] (diagnostic
-    /// X0016); those still count `BcFallbacks` per dispatch so the
-    /// metrics goldens are unchanged.
-    Frames { fallback: bool },
     /// The lowered body is provably effect-free ([`BcAction::is_nop`]):
     /// skip frame setup and execution entirely. The state change and
-    /// trace record still happen in the dispatch body. `vm` records
-    /// which engine the table was resolved for, so the per-dispatch
-    /// `BcActions` counter stays byte-identical to a run that actually
-    /// entered the VM.
-    Nop { vm: bool },
+    /// trace record still happen in the dispatch body, and `BcActions`
+    /// counts it as if the VM had run.
+    Nop,
+    /// The action did not compile, or did not lower (X0016): the
+    /// dispatch changes state and records the trace as usual, then
+    /// raises this error where the action would have run.
+    Fail(Box<CoreError>),
 }
 
 /// One pre-resolved `(from_state, event)` dispatch decision.
@@ -170,30 +167,19 @@ impl ClassSlots {
 
 /// Pre-resolved dispatch decisions for a whole domain.
 ///
-/// Built once per engine selection. The dispatch hot path indexes it
-/// with two loads instead of walking the transition table, re-checking
-/// the engine, and probing the bytecode program per signal — and the
-/// slot holds a direct reference to the lowered [`BcAction`]. Slots are
-/// `Arc`-backed and the table is `Sync`, so shard workers share one copy
-/// by reference.
+/// Built once at load. The dispatch hot path indexes it with two loads
+/// instead of walking the transition table and probing the bytecode
+/// program per signal — and the slot holds a direct reference to the
+/// lowered [`BcAction`]. Slots are `Arc`-backed and the table is `Sync`,
+/// so shard workers share one copy by reference.
 #[derive(Debug, Clone)]
 struct DispatchTable {
     /// Per class; `None` for passive classes (no state machine).
     classes: Vec<Option<ClassSlots>>,
-    /// Slots resolved to the frame interpreter because the bytecode
-    /// lowering bailed (X0016), under [`Engine::Bc`]. Static — decided
-    /// once here, not re-discovered per signal.
-    fallback_slots: usize,
 }
 
 impl DispatchTable {
-    fn new(
-        domain: &Domain,
-        program: &CompiledProgram,
-        bc: &BcProgram,
-        engine: Engine,
-    ) -> DispatchTable {
-        let mut fallback_slots = 0;
+    fn new(domain: &Domain, program: &CompiledProgram, bc: &BcProgram) -> DispatchTable {
         let classes = domain
             .classes
             .iter()
@@ -208,32 +194,13 @@ impl DispatchTable {
                         let (state, event) = (StateId::new(s as u32), EventId::new(e as u32));
                         slots.push(match program.target(class, state, event) {
                             TransitionTarget::To(to) => {
-                                let exec = match engine {
-                                    Engine::Bc => match bc.entry(class, to, event) {
-                                        Some(BcEntry::Vm(a)) if a.is_nop() => {
-                                            Exec::Nop { vm: true }
-                                        }
-                                        Some(BcEntry::Vm(a)) => Exec::Vm(Arc::clone(a)),
-                                        // `Unsupported` (X0016) and failed
-                                        // frame compiles both take the
-                                        // frames path, which re-raises any
-                                        // compile error lazily.
-                                        _ => {
-                                            fallback_slots += 1;
-                                            Exec::Frames { fallback: true }
-                                        }
-                                    },
-                                    // A lowered-and-nop body proves the
-                                    // frames action it came from is
-                                    // effect-free too — the frames engine
-                                    // elides it the same way (no counters
-                                    // fire either way on this path).
-                                    Engine::Frames => match bc.entry(class, to, event) {
-                                        Some(BcEntry::Vm(a)) if a.is_nop() => {
-                                            Exec::Nop { vm: false }
-                                        }
-                                        _ => Exec::Frames { fallback: false },
-                                    },
+                                let exec = match bc.entry(class, to, event) {
+                                    Some(Ok(a)) if a.is_nop() => Exec::Nop,
+                                    Some(Ok(a)) => Exec::Vm(Arc::clone(a)),
+                                    Some(Err(e)) => Exec::Fail(Box::new(e.clone())),
+                                    None => Exec::Fail(Box::new(CoreError::runtime(
+                                        "internal: dispatched pair has no compiled action",
+                                    ))),
                                 };
                                 Slot::Run { to, exec }
                             }
@@ -245,10 +212,7 @@ impl DispatchTable {
                 Some(ClassSlots { n_events, slots })
             })
             .collect();
-        DispatchTable {
-            classes,
-            fallback_slots,
-        }
+        DispatchTable { classes }
     }
 
     /// The slot table for `class`, or `None` for passive classes.
@@ -296,17 +260,12 @@ impl SpanNames {
     }
 }
 
-/// The compiled model both schedulers dispatch from: slot-resolved
-/// frames, the bytecode lowered from them, the executor selection with
-/// its pre-resolved dispatch table, and span names for profiling. It is
-/// read-only while signals run, so shard workers share one by reference.
+/// The compiled model both schedulers dispatch from: the dispatch table
+/// pre-resolved over the lowered bytecode, and span names for profiling.
+/// It is read-only while signals run, so shard workers share one by
+/// reference.
 pub(crate) struct Program<'d> {
     pub(crate) domain: &'d Domain,
-    code: CompiledProgram,
-    pub(crate) bc: BcProgram,
-    /// Action executor selection; [`Engine::Bc`] by default.
-    pub(crate) engine: Engine,
-    /// Rebuilt whenever the engine selection changes.
     table: DispatchTable,
     /// Built when a spans-enabled recorder attaches.
     spans: Option<SpanNames>,
@@ -317,30 +276,11 @@ impl<'d> Program<'d> {
     pub(crate) fn new(domain: &'d Domain) -> Program<'d> {
         let code = CompiledProgram::new(domain);
         let bc = BcProgram::new(domain, &code);
-        let table = DispatchTable::new(domain, &code, &bc, Engine::default());
         Program {
             domain,
-            code,
-            bc,
-            engine: Engine::default(),
-            table,
+            table: DispatchTable::new(domain, &code, &bc),
             spans: None,
         }
-    }
-
-    /// Selects the action executor and re-resolves the dispatch table
-    /// for it.
-    pub(crate) fn set_engine(&mut self, engine: Engine) {
-        if engine != self.engine {
-            self.engine = engine;
-            self.table = DispatchTable::new(self.domain, &self.code, &self.bc, engine);
-        }
-    }
-
-    /// Dispatch slots statically resolved to the frame interpreter
-    /// because the bytecode lowering bailed (X0016).
-    pub(crate) fn fallback_slots(&self) -> usize {
-        self.table.fallback_slots
     }
 
     /// Installs `rec` in `slot`, interning span names first when it
@@ -418,9 +358,6 @@ pub(crate) struct Core {
     self_priority: bool,
     /// Recycled execution frame: taken by each dispatch, returned after.
     frame_buf: Vec<Option<Value>>,
-    /// Recycled candidate buffer for filtered selects (see
-    /// [`ExecCtx::scratch`]).
-    scratch_buf: Vec<InstId>,
     /// Recycled signal payload buffers, fed by finished dispatches and
     /// drained by the VM's computed sends; engine-local, so pooling never
     /// couples shards.
@@ -447,7 +384,6 @@ impl Core {
             strict: policy.strict,
             self_priority: policy.self_priority,
             frame_buf: Vec::new(),
-            scratch_buf: Vec::new(),
             payloads: PayloadPool::new(),
         }
     }
@@ -564,40 +500,17 @@ impl Core {
                     }
                 }
                 let run = match exec {
-                    Exec::Nop { vm } => {
-                        // Provably effect-free body: no frame, no ctx, no
-                        // VM entry. Counters must match a real execution.
-                        if *vm {
-                            self.count(Counter::BcActions, 1);
-                        }
-                        Ok(Outcome::Completed)
+                    // Provably effect-free body: no frame, no ctx, no VM
+                    // entry. Counters must match a real execution.
+                    Exec::Nop => {
+                        self.count(Counter::BcActions, 1);
+                        Ok(())
                     }
                     Exec::Vm(bca) => {
                         self.count(Counter::BcActions, 1);
-                        self.run_action(prog, route, inst, class, &env.args, bca.n_regs, |h, c| {
-                            bc::run_bc(h, c, bca)
-                        })
+                        self.run_action(prog, route, inst, class, &env.args, bca)
                     }
-                    Exec::Frames { fallback } => {
-                        if *fallback {
-                            self.count(Counter::BcFallbacks, 1);
-                        }
-                        // Only the frame interpreter needs the compiled
-                        // action; a `Vm` slot implies the frame compile
-                        // it lowered from succeeded.
-                        let action =
-                            prog.code
-                                .action(class, to_state, env.event)
-                                .ok_or_else(|| {
-                                    CoreError::runtime(
-                                        "internal: dispatched pair has no compiled action",
-                                    )
-                                })??;
-                        let len = action.frame_len();
-                        self.run_action(prog, route, inst, class, &env.args, len, |h, c| {
-                            interp::run_code(h, c, action)
-                        })
-                    }
+                    Exec::Fail(e) => Err(CoreError::clone(e)),
                 };
                 if action_span {
                     if let Some(o) = self.obs.as_mut() {
@@ -642,9 +555,8 @@ impl Core {
         out
     }
 
-    /// Runs one action body in a recycled frame of `frame_len` slots
-    /// with `args` bound, against a [`Host`] over this core and `route`.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `bca` in a recycled frame with `args` bound, against a
+    /// [`Host`] over this core and `route`.
     #[inline]
     fn run_action<R: Route>(
         &mut self,
@@ -653,24 +565,21 @@ impl Core {
         inst: InstId,
         class: ClassId,
         args: &[Value],
-        frame_len: usize,
-        body: impl FnOnce(&mut Host<'_, '_, R>, &mut ExecCtx) -> Result<Outcome>,
-    ) -> Result<Outcome> {
+        bca: &BcAction,
+    ) -> Result<()> {
         let mut frame = std::mem::take(&mut self.frame_buf);
         frame.clear();
-        frame.resize(frame_len, None);
+        frame.resize(bca.n_regs, None);
         let mut ctx = ExecCtx::with_frame(inst, class, frame);
-        ctx.scratch = std::mem::take(&mut self.scratch_buf);
         ctx.bind_args(args.iter().cloned());
         let mut host = Host {
             core: self,
             route,
             domain: prog.domain,
         };
-        let r = body(&mut host, &mut ctx);
+        let r = bc::run_bc(&mut host, &mut ctx, bca);
         self.frame_buf = std::mem::take(&mut ctx.frame);
-        self.scratch_buf = std::mem::take(&mut ctx.scratch);
-        r
+        r.map(drop)
     }
 }
 
@@ -920,7 +829,8 @@ pub(crate) fn livelock(max_steps: u64) -> CoreError {
 }
 
 /// Starts a snapshot of `kind`: the common header, then the scheduling
-/// policy and the executor tag both engines lead with.
+/// policy and the executor tag both engines lead with. The tag is always
+/// `1`, the bytecode VM.
 pub(crate) fn snap_begin(kind: u8, prog: &Program<'_>, policy: &SchedPolicy) -> Writer {
     let mut w = Writer::with_header(kind, prog.domain);
     w.u64(policy.seed);
@@ -928,21 +838,20 @@ pub(crate) fn snap_begin(kind: u8, prog: &Program<'_>, policy: &SchedPolicy) -> 
     w.bool(policy.pair_order);
     w.bool(policy.strict);
     w.u32(policy.shards as u32);
-    w.u8(match prog.engine {
-        Engine::Frames => 0,
-        Engine::Bc => 1,
-    });
+    w.u8(1);
     w
 }
 
 /// Opens a snapshot written by [`snap_begin`], failing unless it is of
-/// `kind` (`what` names it in the error).
+/// `kind` (`what` names it in the error). Executor tags `0` (the retired
+/// compiled-frame walker) and `1` both restore onto the VM: the two ran
+/// byte-identical traces, so older snapshots stay readable.
 pub(crate) fn snap_open<'b>(
     bytes: &'b [u8],
     domain: &Domain,
     kind: u8,
     what: &str,
-) -> SnapResult<(Reader<'b>, SchedPolicy, Engine)> {
+) -> SnapResult<(Reader<'b>, SchedPolicy)> {
     let (mut r, got) = Reader::open(bytes, domain)?;
     if got != kind {
         return Err(SnapError::Corrupt(format!(
@@ -956,12 +865,10 @@ pub(crate) fn snap_open<'b>(
         strict: r.bool()?,
         shards: r.u32()? as usize,
     };
-    let engine = match r.u8()? {
-        0 => Engine::Frames,
-        1 => Engine::Bc,
-        t => return Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
-    };
-    Ok((r, policy, engine))
+    match r.u8()? {
+        0 | 1 => Ok((r, policy)),
+        t => Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
+    }
 }
 
 /// Writes every mailbox, in id order: the self queue, then the main

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use sched::SchedPolicy;
 pub use shard::{shard_safety, ShardedSimulation};
-pub use sim::{Engine, Simulation};
+pub use sim::Simulation;
 pub use snapshot::SnapError;
 pub use store::ObjectStore;
 pub use trace::{ObservableEvent, Trace, TraceEvent, TraceMode};

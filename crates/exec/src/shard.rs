@@ -45,13 +45,12 @@
 use crate::dispatch::{self, Core, Envelope, Program, Route, Stimulus, Timer};
 use crate::mailbox::Mailboxes;
 use crate::sched::{SchedPolicy, SplitMix64};
-use crate::sim::{BridgeFn, Engine, Simulation};
+use crate::sim::{BridgeFn, Simulation};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtuml_core::bc::BcFallback;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{ActorId, AssocId, ClassId, EventId, InstId};
 use xtuml_core::model::Domain;
@@ -441,12 +440,6 @@ impl<'d> ShardedSimulation<'d> {
         self.max_steps = max;
     }
 
-    /// Selects the action executor (default [`Engine::Bc`]); `shards == 1`
-    /// delegation passes the choice to the inner sequential engine.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.prog.set_engine(engine);
-    }
-
     /// Selects how much the trace ring records (default
     /// [`TraceMode::Full`]). [`TraceMode::Off`] must never be used in
     /// differential or golden comparisons.
@@ -458,25 +451,6 @@ impl<'d> ShardedSimulation<'d> {
                 s.core.trace.set_mode(mode);
             }
         }
-    }
-
-    /// Number of `(class, state, event)` dispatch slots that resolved to
-    /// the frame-interpreter fallback when the table was built for the
-    /// bytecode engine (0 under [`Engine::Frames`], where every slot is
-    /// a deliberate frames slot, not a fallback).
-    pub fn bc_fallback_slots(&self) -> usize {
-        self.prog.fallback_slots()
-    }
-
-    /// The currently selected action executor.
-    pub fn engine(&self) -> Engine {
-        self.prog.engine
-    }
-
-    /// Actions the bytecode lowering could not encode; these dispatch via
-    /// the frame interpreter instead (diagnostic `X0016`).
-    pub fn bc_fallbacks(&self) -> &[BcFallback] {
-        &self.prog.bc.fallbacks
     }
 
     /// Whether the run has started: it is paused at a barrier, or it has
@@ -927,7 +901,6 @@ impl<'d> ShardedSimulation<'d> {
     fn run_sequential(&mut self) -> Result<u64> {
         let mut sim = Simulation::with_policy(self.prog.domain, self.policy);
         sim.set_max_steps(self.max_steps);
-        sim.set_engine(self.prog.engine);
         // Hand the recorder to the inner simulation *before* replaying
         // setup: the replayed creates/injects then count exactly where a
         // plain instrumented `Simulation` counts them, so the shards==1
@@ -1043,10 +1016,9 @@ impl<'d> ShardedSimulation<'d> {
     /// or corrupt input, version or kind mismatch, or a snapshot taken
     /// against a different domain.
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<ShardedSimulation<'d>> {
-        let (mut r, policy, engine) =
+        let (mut r, policy) =
             dispatch::snap_open(bytes, domain, snapshot::KIND_SHARDED, "sharded-engine")?;
         let mut sim = ShardedSimulation::with_policy(domain, policy);
-        sim.set_engine(engine);
         sim.max_steps = r.u64()?;
         sim.now = r.u64()?;
         sim.dropped = r.u64()?;

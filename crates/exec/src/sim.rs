@@ -24,7 +24,6 @@ use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use xtuml_core::bc::BcFallback;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{ActorId, AssocId, ClassId, EventId, InstId};
 use xtuml_core::model::Domain;
@@ -33,21 +32,6 @@ use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
 
 /// Handler invoked for bridge calls on a given actor.
 pub type BridgeFn = Box<dyn FnMut(&str, &[Value]) -> Result<Value>>;
-
-/// Which action executor drives the dispatch hot path.
-///
-/// Both engines produce byte-identical traces; the bytecode VM is the
-/// default because it is substantially faster. Actions the lowering cannot
-/// encode fall back to compiled frames per-action (diagnostic `X0016`,
-/// counted as `bc_fallbacks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Walk slot-resolved compiled frames (`CompiledProgram`) AST-style.
-    Frames,
-    /// Execute register bytecode lowered from the compiled frames.
-    #[default]
-    Bc,
-}
 
 /// The sequential side of the routing seam: every send is delivered at
 /// once, timers wait in one list, actions may change the population, and
@@ -198,36 +182,12 @@ impl<'d> Simulation<'d> {
         self.max_steps = max;
     }
 
-    /// Selects the action executor (default [`Engine::Bc`]) and
-    /// re-resolves the dispatch table for it.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.prog.set_engine(engine);
-    }
-
     /// Sets the trace recording mode ([`TraceMode::Full`] by default).
     ///
     /// [`TraceMode::Off`] records nothing; differential and golden
     /// comparisons require `Full`.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.core.trace.set_mode(mode);
-    }
-
-    /// The currently selected action executor.
-    pub fn engine(&self) -> Engine {
-        self.prog.engine
-    }
-
-    /// Actions the bytecode lowering could not encode; these dispatch via
-    /// the frame interpreter instead (diagnostic `X0016`).
-    pub fn bc_fallbacks(&self) -> &[BcFallback] {
-        &self.prog.bc.fallbacks
-    }
-
-    /// Number of dispatch slots statically resolved to the frame
-    /// interpreter because the bytecode lowering bailed (X0016), under
-    /// the current engine. Zero when the engine is [`Engine::Frames`].
-    pub fn bc_fallback_slots(&self) -> usize {
-        self.prog.fallback_slots()
     }
 
     /// Registers a handler for synchronous bridge calls on `actor`.
@@ -663,10 +623,9 @@ impl<'d> Simulation<'d> {
     /// panics — on truncated or corrupt input, version or kind mismatch,
     /// or a snapshot taken against a different domain.
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<Simulation<'d>> {
-        let (mut r, policy, engine) =
+        let (mut r, policy) =
             dispatch::snap_open(bytes, domain, snapshot::KIND_SEQUENTIAL, "sequential")?;
         let mut sim = Simulation::with_policy(domain, policy);
-        sim.set_engine(engine);
         sim.core.now = r.u64()?;
         sim.route.send_seq = r.u64()?;
         sim.core.dropped = r.u64()?;

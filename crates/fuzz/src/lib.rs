@@ -41,7 +41,6 @@ pub use refinterp::run_reference;
 pub use runner::{replay, run_case, run_spec, Ablation, CaseOutcome, CaseStats};
 pub use shrink::{shrink, ShrinkStats};
 pub use spec::FuzzSpec;
-pub use xtuml_exec::Engine;
 
 /// Configuration for one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -55,16 +54,10 @@ pub struct FuzzConfig {
     /// Injected scheduler fault (test-only; `None` in production runs).
     pub ablation: Ablation,
     /// Worker threads for the seed sweep. Each seed is an independent
-    /// four-way differential run, so the sweep distributes perfectly;
+    /// differential run, so the sweep distributes perfectly;
     /// results are collected in seed order, making the report
     /// byte-identical for any `jobs`. `1` runs strictly serially.
     pub jobs: usize,
-    /// Engine driving the model-interpreter executor. With the default
-    /// [`Engine::Bc`] every case additionally runs the compiled-frame
-    /// engine and requires a byte-identical trace (the four-way
-    /// differential); [`Engine::Frames`] reproduces the historical
-    /// three-way run.
-    pub engine: Engine,
     /// Add the checkpoint leg (`--checkpoint`): the interpreter runs a
     /// second time, snapshotting and restoring itself on a fixed
     /// dispatch schedule, and the case fails unless the restored run's
@@ -80,7 +73,6 @@ impl Default for FuzzConfig {
             shrink: false,
             ablation: Ablation::None,
             jobs: 1,
-            engine: Engine::default(),
             checkpoint: false,
         }
     }
@@ -227,14 +219,14 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let pool = xtuml_pool::Pool::new(cfg.jobs);
     let outcomes = pool.map(&seeds, |_, &seed| {
         let spec = generate(seed);
-        let outcome = run_spec(&spec, cfg.ablation, cfg.engine, cfg.checkpoint);
+        let outcome = run_spec(&spec, cfg.ablation, cfg.checkpoint);
         match outcome {
             CaseOutcome::Pass(stats) => Ok(stats),
             other => {
                 let class = other.class();
                 let detail = other.describe();
                 let (min_spec, shrink_stats) = if cfg.shrink {
-                    let (s, st) = shrink(&spec, cfg.ablation, cfg.engine, cfg.checkpoint);
+                    let (s, st) = shrink(&spec, cfg.ablation, cfg.checkpoint);
                     (s, Some(st))
                 } else {
                     (spec, None)

@@ -2,6 +2,7 @@
 //! implementation (paper §4).
 
 use crate::analysis;
+use crate::host::{Actions, PCore};
 use crate::hw::HwPartition;
 use crate::interface::InterfaceSpec;
 use crate::partition::{Partition, Side};
@@ -9,6 +10,7 @@ use crate::swpart::SwPartition;
 use crate::system::CompiledSystem;
 use crate::{cgen, icd, vgen, MdaError, Result};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use xtuml_core::ids::ClassId;
 use xtuml_core::marks::{keys, ElemRef, MarkSet};
 use xtuml_core::model::Domain;
@@ -92,13 +94,22 @@ pub struct CompiledDesign<'d> {
 
 impl<'d> CompiledDesign<'d> {
     /// Instantiates the executable co-simulated system (the same lowering
-    /// the generated text describes).
+    /// the generated text describes). The domain's actions are compiled
+    /// and lowered once, and both partitions run them on the bytecode VM.
     pub fn instantiate(&self) -> CompiledSystem<'d> {
+        let actions = Rc::new(Actions::new(self.domain));
+        let core = |side| {
+            PCore::new(
+                self.domain,
+                Rc::clone(&actions),
+                side,
+                self.partition.clone(),
+                self.params.cycles_per_unit,
+            )
+        };
         let hw = HwPartition::new(
-            self.domain,
-            self.partition.clone(),
+            core(Side::Hw),
             self.interface.clone(),
-            self.params.cycles_per_unit,
             self.params.default_depth,
             self.params.class_depth.clone(),
         );
@@ -106,11 +117,9 @@ impl<'d> CompiledDesign<'d> {
             .interface
             .to_bridge_config(self.params.fifo_depth, self.params.bus_latency);
         let mut sw = SwPartition::new(
-            self.domain,
-            self.partition.clone(),
+            core(Side::Sw),
             self.interface.clone(),
             &bridge_cfg,
-            self.params.cycles_per_unit,
             self.params.cpu_khz,
             self.params.prio.clone(),
         );

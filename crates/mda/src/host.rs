@@ -12,10 +12,11 @@
 use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
 use std::rc::Rc;
+use xtuml_core::bc::{self, BcProgram};
 use xtuml_core::code::CompiledProgram;
 use xtuml_core::error::{CoreError, Result as CoreResult};
 use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
-use xtuml_core::interp::{self, ActionHost, ExecCtx};
+use xtuml_core::interp::{ActionHost, ExecCtx};
 use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_exec::trace::ObservableEvent;
@@ -57,12 +58,28 @@ pub(crate) struct Effects {
     pub cancels: Vec<(InstId, EventId)>,
 }
 
+/// A domain's compiled actions, built once per instantiated system and
+/// shared by both partitions: the same transition table and bytecode the
+/// abstract interpreter runs, so both substrates execute identical
+/// actions on the one VM.
+pub(crate) struct Actions {
+    program: CompiledProgram,
+    bc: BcProgram,
+}
+
+impl Actions {
+    /// Compiles and lowers every action of `domain` once.
+    pub fn new(domain: &Domain) -> Actions {
+        let program = CompiledProgram::new(domain);
+        let bc = BcProgram::new(domain, &program);
+        Actions { program, bc }
+    }
+}
+
 /// The per-partition execution state shared by both lowerings.
 pub(crate) struct PCore<'d> {
     pub domain: &'d Domain,
-    /// Slot-resolved action code shared with the abstract interpreter's
-    /// representation: both substrates execute identical compiled blocks.
-    pub program: Rc<CompiledProgram>,
+    actions: Rc<Actions>,
     pub side: Side,
     pub partition: Partition,
     pub store: ObjectStore,
@@ -79,13 +96,14 @@ pub(crate) struct PCore<'d> {
 impl<'d> PCore<'d> {
     pub fn new(
         domain: &'d Domain,
+        actions: Rc<Actions>,
         side: Side,
         partition: Partition,
         cycles_per_unit: u64,
     ) -> PCore<'d> {
         PCore {
             domain,
-            program: Rc::new(CompiledProgram::new(domain)),
+            actions,
             side,
             partition,
             store: ObjectStore::new(domain.associations.len()),
@@ -115,16 +133,19 @@ impl<'d> PCore<'d> {
             )));
         };
         let from_state = self.store.state_of(to)?;
-        match self.program.target(class, from_state, event) {
+        match self.actions.program.target(class, from_state, event) {
             TransitionTarget::To(to_state) => {
                 self.store.set_state(to, to_state)?;
-                let program = Rc::clone(&self.program);
-                let action = program.action(class, to_state, event).ok_or_else(|| {
+                let actions = Rc::clone(&self.actions);
+                let action = actions.bc.entry(class, to_state, event).ok_or_else(|| {
                     CoreError::runtime("internal: dispatched pair has no compiled action")
-                })??;
-                let mut ctx = ExecCtx::new(to, action);
+                })?;
+                let action = action.as_ref().map_err(Clone::clone)?;
+                // Every action runs, empty ones included: its step count
+                // is the substrate cost model's input.
+                let mut ctx = ExecCtx::with_frame(to, class, vec![None; action.n_regs]);
                 ctx.bind_args(args);
-                interp::run_code(self, &mut ctx, action)?;
+                bc::run_bc(self, &mut ctx, action)?;
                 Ok(ctx.steps)
             }
             TransitionTarget::Ignore => Ok(1),

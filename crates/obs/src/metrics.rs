@@ -89,7 +89,9 @@ pub enum Counter {
     MdaCompiles,
     /// Action dispatches executed by the bytecode VM engine.
     BcActions,
-    /// Action dispatches that fell back from the VM to compiled frames.
+    /// Always 0: every action runs on the VM, and an action the lowering
+    /// cannot encode fails its dispatch (X0016) instead of falling back.
+    /// Kept so snapshots and metric streams keep their layout.
     BcFallbacks,
     /// Sharded runs the effect analysis admitted to `shards > 1`
     /// (counted once per run that actually executes sharded; the

@@ -12,17 +12,14 @@ fn usage() -> String {
      \x20 xtuml interface <model.xtuml> <marks.marks>\n\
      \x20 xtuml compile   <model.xtuml> <marks.marks> [out_dir]\n\
      \x20 xtuml run       <model.xtuml> <script.stim> [--seed S] [--jobs J] [--shards N]\n\
-     \x20                 [--engine frames|bc] [--no-bc] [--trace full|off]\n\
-     \x20                 [--profile out.json] [--metrics out.jsonl]\n\
+     \x20                 [--trace full|off] [--profile out.json] [--metrics out.jsonl]\n\
      \x20 xtuml bc        <model.xtuml>\n\
      \x20 xtuml analyze   <model.xtuml> [--format json]\n\
      \x20 xtuml stats     <model.xtuml> <script.stim> [--seed S] [--jobs J] [--shards N]\n\
-     \x20                 [--engine frames|bc] [--no-bc] [--trace full|off]\n\
-     \x20                 [--format json]\n\
+     \x20                 [--trace full|off] [--format json]\n\
      \x20 xtuml stats     --check-profile <trace.json>\n\
      \x20 xtuml fuzz      [--seeds N] [--start S] [--jobs J] [--shrink] [--corpus DIR]\n\
-     \x20                 [--engine frames|bc] [--no-bc] [--checkpoint]\n\
-     \x20                 [--metrics out.jsonl]\n\
+     \x20                 [--checkpoint] [--metrics out.jsonl]\n\
      \x20 xtuml serve     [--port P] [--sessions N] [--queue-cap N] [--fuel N]\n\
      \x20                 [--idle-evict N] [--spool DIR] [--smoke]\n"
         .to_owned()
@@ -30,16 +27,6 @@ fn usage() -> String {
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-// The reference AST interpreter is not selectable here: it exists as the
-// fuzzer's oracle, not as an execution engine.
-fn parse_engine(word: Option<&str>) -> Result<xtuml_exec::Engine, String> {
-    match word {
-        Some("bc") => Ok(xtuml_exec::Engine::Bc),
-        Some("frames") => Ok(xtuml_exec::Engine::Frames),
-        _ => Err("--engine takes `frames` or `bc`".to_owned()),
-    }
 }
 
 // `off` exists for pure-throughput runs only; goldens and differential
@@ -157,8 +144,6 @@ fn real_main() -> Result<(), String> {
                                 .ok_or("--shards takes a shard count (>= 1)")?,
                         );
                     }
-                    "--engine" => opts.engine = parse_engine(rest.next())?,
-                    "--no-bc" => opts.engine = xtuml_exec::Engine::Frames,
                     "--trace" => opts.trace = parse_trace(rest.next())?,
                     "--profile" => {
                         profile_path = Some(rest.next().ok_or("--profile takes a file path")?);
@@ -270,8 +255,6 @@ fn real_main() -> Result<(), String> {
                                 .ok_or("--shards takes a shard count (>= 1)")?,
                         );
                     }
-                    "--engine" => opts.engine = parse_engine(rest.next())?,
-                    "--no-bc" => opts.engine = xtuml_exec::Engine::Frames,
                     "--trace" => opts.trace = parse_trace(rest.next())?,
                     "--format" => match rest.next() {
                         Some("json") => format = cli::LintFormat::Json,
@@ -335,8 +318,6 @@ fn real_main() -> Result<(), String> {
                             .filter(|&j| j >= 1)
                             .ok_or("--jobs takes a thread count (>= 1)")?;
                     }
-                    "--engine" => opts.engine = parse_engine(rest.next())?,
-                    "--no-bc" => opts.engine = xtuml::fuzz::Engine::Frames,
                     "--shrink" => opts.shrink = true,
                     "--checkpoint" => opts.checkpoint = true,
                     "--corpus" => {

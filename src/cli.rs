@@ -14,15 +14,13 @@
 //!   compiler and write `<domain>.c` / `<domain>.vhd`;
 //! * `run <model.xtuml> <script.stim>` — execute a stimulus script
 //!   against the abstract model and print the observable trace; state
-//!   actions execute on the register bytecode VM by default
-//!   (`--engine frames` / `--no-bc` selects the compiled-frame
-//!   interpreter — the trace is byte-identical either way);
+//!   actions execute on the register bytecode VM;
 //! * `bc <model.xtuml>` — disassemble the register bytecode lowered
 //!   from the model's state actions, with superinstruction annotations;
 //! * `fuzz [--seeds N] [--start S] [--shrink] [--corpus DIR]` — run the
 //!   conformance fuzzer: generated models are executed on the reference
-//!   interpreter, the bytecode VM, the compiled-frame interpreter and
-//!   the partitioned cosim, and their observable traces must agree (see
+//!   interpreter, the model interpreter and the partitioned cosim (both
+//!   on the bytecode VM), and their observable traces must agree (see
 //!   `xtuml_fuzz`). The undocumented `--ablate pair-order` flag injects
 //!   a scheduler fault for self-testing the oracle.
 //!
@@ -333,13 +331,6 @@ pub struct RunOptions {
     /// on every machine and across releases. Models that fail the
     /// shard-safety analysis fall back to one shard with a note.
     pub shards: Option<usize>,
-    /// Action executor (`--engine frames|bc`, `--no-bc`). The register
-    /// bytecode VM is the default hot path; `Frames` walks the
-    /// slot-resolved compiled frames AST-style. The trace is
-    /// byte-identical either way — the engine is pure mechanism, like
-    /// `jobs`. Actions the bytecode lowering cannot encode fall back
-    /// to the frame interpreter per action, with an X0016 note.
-    pub engine: xtuml_exec::Engine,
     /// Trace recording (`--trace full|off`). `Off` skips the trace ring
     /// entirely for pure-throughput runs; the transcript then reports no
     /// dispatch count or observable events. Differential and golden
@@ -354,7 +345,6 @@ impl Default for RunOptions {
             seed: 0,
             jobs: 1,
             shards: None,
-            engine: xtuml_exec::Engine::default(),
             trace: xtuml_exec::TraceMode::default(),
         }
     }
@@ -426,14 +416,6 @@ pub struct RunOutput {
     /// Effective shard count after the shard-safety fallback (static
     /// X0015 offenses, or a violated runtime colocation precondition).
     pub shards: usize,
-    /// Bytecode-lowering fallback reasons, aggregated to counts
-    /// (X0016; empty when every action lowered, or on other engines).
-    pub bc_fallback_reasons: Vec<(String, u32)>,
-    /// Dispatch-table slots resolved to the frame-interpreter fallback
-    /// when the table was built for the bytecode engine — a static
-    /// property of (model, engine), decided once per (class, state,
-    /// event) rather than re-checked per signal.
-    pub bc_fallback_slots: usize,
     /// The scheduler seed (echoed for metric sinks).
     pub seed: u64,
     /// Final simulation time.
@@ -446,9 +428,9 @@ pub struct RunOutput {
 /// [`ObsOptions`], renders the Chrome trace profile, and surfaces the
 /// deterministic metrics snapshot. A shard-safety fallback is reported
 /// as diagnostic X0015 (`shard-unsafe`) in the transcript and counted
-/// under `shard_fallbacks` / `fallback_*` in the snapshot; an action
-/// the bytecode lowering cannot encode is reported as X0016
-/// (`bc-unsupported`) and counted under `bc_fallbacks`.
+/// under `shard_fallbacks` / `fallback_*` in the snapshot. An action
+/// the bytecode lowering cannot encode fails the run when it is first
+/// dispatched, with an X0016 (`bc-unsupported`) error.
 ///
 /// # Errors
 ///
@@ -481,37 +463,7 @@ pub fn cmd_run_full(
     };
     let policy = xtuml_exec::SchedPolicy::seeded(opts.seed).with_shards(shards);
     let mut sim = xtuml_exec::ShardedSimulation::with_policy(&domain, policy);
-    sim.set_engine(opts.engine);
     sim.set_trace_mode(opts.trace);
-    // Like the X0015 shard fallback, a lowering fallback is a property
-    // of the model alone, so it is reported once up front rather than
-    // per dispatch (the per-dispatch cost shows up as `bc_fallbacks`
-    // in the counter snapshot).
-    let bc_note = if opts.engine == xtuml_exec::Engine::Bc && !sim.bc_fallbacks().is_empty() {
-        let described: Vec<String> = sim
-            .bc_fallbacks()
-            .iter()
-            .map(|f| {
-                let class = domain.class(f.class);
-                let state = class
-                    .state_machine
-                    .as_ref()
-                    .map(|m| m.states[f.state.index()].name.as_str())
-                    .unwrap_or("?");
-                let event = class.events[f.event.index()].name.as_str();
-                format!("{}.{state} on {event} ({})", class.name, f.reason)
-            })
-            .collect();
-        Some(format!(
-            "note: {} action(s) on the frame interpreter — {} {}: {}",
-            described.len(),
-            Code::BcUnsupported.as_str(),
-            Code::BcUnsupported.name(),
-            described.join("; ")
-        ))
-    } else {
-        None
-    };
     if obs.on() {
         let mut rec = if obs.profile {
             xtuml_obs::Recorder::with_spans(xtuml_obs::Clock::start())
@@ -590,9 +542,6 @@ pub fn cmd_run_full(
     if let Some(n) = runtime_note {
         let _ = writeln!(out, "{n}");
     }
-    if let Some(n) = bc_note {
-        let _ = writeln!(out, "{n}");
-    }
     let _ = writeln!(
         out,
         "ran to quiescence at t={} ({} dispatches)",
@@ -642,18 +591,12 @@ pub fn cmd_run_full(
         timing = Some(rec.timing);
         metrics = Some(rec.metrics);
     }
-    let mut reason_counts: BTreeMap<String, u32> = BTreeMap::new();
-    for f in sim.bc_fallbacks() {
-        *reason_counts.entry(f.reason.clone()).or_insert(0) += 1;
-    }
     Ok(RunOutput {
         text: out,
         profile_json,
         metrics,
         timing,
         shards,
-        bc_fallback_reasons: reason_counts.into_iter().collect(),
-        bc_fallback_slots: sim.bc_fallback_slots(),
         seed: opts.seed,
         now: sim.now(),
         dispatches: sim.trace().dispatch_count() as u64,
@@ -690,19 +633,6 @@ pub fn cmd_stats(
                 out.now, out.dispatches, out.seed, out.shards
             );
             s.push_str(&m.render_human());
-            let _ = writeln!(
-                s,
-                "bc fallback slots (static, decided once per class/state/event): {}",
-                out.bc_fallback_slots
-            );
-            s.push_str("bc fallback reasons:\n");
-            if out.bc_fallback_reasons.is_empty() {
-                s.push_str("  (none)\n");
-            } else {
-                for (reason, count) in &out.bc_fallback_reasons {
-                    let _ = writeln!(s, "  {count:>4}x {reason}");
-                }
-            }
             if let Some(t) = &out.timing {
                 let _ = writeln!(s, "wall-clock (not deterministic):");
                 let _ = writeln!(s, "  run_wall_us           {:>12}", t.run_wall_ns / 1_000);
@@ -723,18 +653,6 @@ pub fn cmd_stats(
             let _ = writeln!(s, "  \"now\": {},", out.now);
             let _ = writeln!(s, "  \"dispatches\": {},", out.dispatches);
             let _ = writeln!(s, "  \"deterministic\": true,");
-            let reasons: Vec<String> = out
-                .bc_fallback_reasons
-                .iter()
-                .map(|(reason, count)| {
-                    format!(
-                        "\"{}\": {count}",
-                        reason.replace('\\', "\\\\").replace('"', "\\\"")
-                    )
-                })
-                .collect();
-            let _ = writeln!(s, "  \"bc_fallback_reasons\": {{{}}},", reasons.join(", "));
-            let _ = writeln!(s, "  \"bc_fallback_slots\": {},", out.bc_fallback_slots);
             let _ = write!(s, "  \"metrics\": ");
             let body = m.to_json();
             let mut lines = body.lines();
@@ -771,8 +689,8 @@ pub fn cmd_analyze(model_src: &str, format: LintFormat) -> Result<String, CliErr
 
 /// `bc`: disassemble the register bytecode lowered from a model's state
 /// actions — one block per (class, state, event) entry, with fused
-/// superinstructions annotated and any frame-interpreter fallbacks
-/// listed at the end. This is the stream `run` executes by default.
+/// superinstructions annotated; an entry that does not lower shows the
+/// error its dispatch raises. This is the stream `run` executes.
 ///
 /// # Errors
 ///
@@ -782,12 +700,7 @@ pub fn cmd_bc(model_src: &str) -> Result<String, CliError> {
     let program = xtuml_core::code::CompiledProgram::new(&domain);
     let bc = xtuml_core::bc::BcProgram::new(&domain, &program);
     let mut out = xtuml_core::bc::disasm(&domain, &bc);
-    let _ = writeln!(
-        out,
-        "{} action(s) lowered, {} fallback(s)",
-        bc.vm_entries(),
-        bc.fallbacks.len()
-    );
+    let _ = writeln!(out, "{} action(s) lowered", bc.vm_entries());
     Ok(out)
 }
 
@@ -818,12 +731,6 @@ pub struct FuzzOptions {
     /// Worker threads for the seed sweep (`--jobs J`); the report is
     /// byte-identical for any value.
     pub jobs: usize,
-    /// Interpreter-leg engine (`--engine frames|bc`, `--no-bc`). The
-    /// default `Bc` runs the four-way differential (reference AST vs
-    /// bytecode VM vs compiled frames vs cosim, full traces
-    /// byte-identical); `Frames` drops back to the historical
-    /// three-way.
-    pub engine: xtuml_fuzz::Engine,
     /// Add the snapshot/restore checkpoint leg (`--checkpoint`): the
     /// interpreter runs a second time, serializing and rebuilding itself
     /// every few dispatches, and the case fails unless the restored
@@ -839,7 +746,6 @@ impl Default for FuzzOptions {
             shrink: false,
             ablation: xtuml_fuzz::Ablation::None,
             jobs: 1,
-            engine: xtuml_fuzz::Engine::default(),
             checkpoint: false,
         }
     }
@@ -864,7 +770,6 @@ pub fn cmd_fuzz(
         shrink: opts.shrink,
         ablation: opts.ablation,
         jobs: opts.jobs,
-        engine: opts.engine,
         checkpoint: opts.checkpoint,
     };
     let report = xtuml_fuzz::fuzz(&cfg);
@@ -1087,43 +992,27 @@ at 1 c E 42
     }
 
     #[test]
-    fn run_engine_frames_is_byte_identical() {
+    fn run_output_matches_pinned_transcripts() {
         let script = "create c C\nat 0 c E 41\nat 1 c E 42\n";
-        let bc = cmd_run_with(MODEL, script, RunOptions::default()).unwrap();
-        let frames = cmd_run_with(
-            MODEL,
-            script,
-            RunOptions {
-                engine: xtuml_exec::Engine::Frames,
-                ..RunOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(bc, frames);
-        // And across a sharded schedule, where the engines run inside
-        // shard workers instead of the sequential scheduler.
+        let want = "ran to quiescence at t=2 (2 dispatches)\nOUT.done(41)\nOUT.done(42)\n";
+        let seq = cmd_run_with(MODEL, script, RunOptions::default()).unwrap();
+        assert_eq!(seq, want);
+        // And across a sharded schedule, where actions run inside shard
+        // workers instead of the sequential scheduler.
         let opts = RunOptions {
             shards: Some(2),
             ..RunOptions::default()
         };
-        let bc = cmd_run_with(MODEL, script, opts).unwrap();
-        let frames = cmd_run_with(
-            MODEL,
-            script,
-            RunOptions {
-                engine: xtuml_exec::Engine::Frames,
-                ..opts
-            },
-        )
-        .unwrap();
-        assert_eq!(bc, frames);
+        let sharded = cmd_run_with(MODEL, script, opts).unwrap();
+        assert_eq!(sharded, want);
     }
 
     #[test]
     fn bc_disassembles_the_model() {
         let out = cmd_bc(MODEL).unwrap();
         assert!(out.contains("C · T <- E:"), "{out}");
-        assert!(out.contains("0 fallback(s)"), "{out}");
+        assert!(out.ends_with("1 action(s) lowered\n"), "{out}");
+        assert!(!out.contains("(error:"), "{out}");
     }
 
     #[test]

@@ -1,19 +1,21 @@
-//! VM conformance: the bytecode engine must be *observably invisible*.
+//! VM conformance: every action in the toolchain runs on the one bytecode
+//! VM, so this suite pins what it does on real inputs rather than
+//! comparing it with a twin executor.
 //!
-//! The register bytecode VM is the default hot path, so its contract is
-//! absolute: for every model, stimulus, seed, shard count and worker
-//! count, the run transcript and the execution trace must be
-//! byte-identical to the compiled-frame interpreter's. The suite pins
-//! that over the shipped golden models, the checked-in fuzz corpus and
-//! the bench workload generators, across shards ∈ {1, 2, 4} ×
-//! jobs ∈ {1, 2} — the fallback matrix the fuzzer also sweeps.
+//! Over the shipped golden model, the checked-in fuzz corpus and the
+//! bench workload generators, across shards ∈ {1, 2, 4} × jobs ∈ {1, 2}
+//! (the matrix the fuzzer also sweeps): transcripts are pinned to their
+//! sequential text, and workload runs must dispatch a closed-form number
+//! of signals and render the pinned trace for their shard count, for any
+//! worker count. The pins were recorded while a second executor (the
+//! compiled-frame walker) was still held byte-identical to the VM.
 
 use std::path::Path;
 use xtuml::cli::{cmd_run_with, RunOptions};
 use xtuml_bench::workloads::{fanout_case, manycore_case, pipeline_domain, ring_case};
 use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
-use xtuml_exec::{Engine, SchedPolicy, ShardedSimulation};
+use xtuml_exec::{SchedPolicy, ShardedSimulation, Trace};
 use xtuml_verify::TestCase;
 
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -23,41 +25,48 @@ fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-/// Every on-disk (model, stimulus) pair: the golden doorbell model plus
-/// the minimized fuzz-corpus witnesses.
-fn disk_cases() -> Vec<(String, String, String)> {
+/// Every on-disk (model, stimulus) pair with its pinned transcript: the
+/// golden doorbell model plus the minimized fuzz-corpus witnesses.
+fn disk_cases() -> Vec<(String, String, String, &'static str)> {
     let mut cases = vec![(
         "doorbell".to_owned(),
         read("models/doorbell.xtuml"),
         read("models/doorbell.stim"),
+        "ran to quiescence at t=1252 (9 dispatches)\n\
+         SPEAKER.chime(1)\nSPEAKER.chime(2)\nSPEAKER.chime(3)\n",
     )];
     for e in xtuml::fuzz::load_dir(Path::new("models/fuzz-corpus")).expect("corpus readable") {
-        cases.push((format!("corpus/{}", e.name), e.model, e.stim));
+        let want = match e.name.as_str() {
+            "seed2" => {
+                "ran to quiescence at t=10 (9 dispatches)\n\
+                 O1.o0(false)\nO1.o0(false)\nO1.o0(false)\n"
+            }
+            "seed5" => "ran to quiescence at t=13 (2 dispatches)\nO0.o0()\nO0.o0()\nO1.o0()\n",
+            other => panic!("corpus entry {other} has no pinned transcript"),
+        };
+        cases.push((format!("corpus/{}", e.name), e.model, e.stim, want));
     }
     cases
 }
 
 #[test]
-fn disk_models_are_byte_identical_across_engines() {
-    for (name, model, stim) in disk_cases() {
+fn disk_models_print_their_pinned_transcripts() {
+    for (name, model, stim, want) in disk_cases() {
         for shards in SHARDS {
             for jobs in JOBS {
                 for seed in [0u64, 7] {
-                    let opts = |engine| RunOptions {
+                    let opts = RunOptions {
                         seed,
                         jobs,
                         shards: Some(shards),
-                        engine,
-                        // Differential legs must compare full traces.
+                        // Conformance legs must compare full traces.
                         trace: xtuml_exec::TraceMode::Full,
                     };
-                    let bc = cmd_run_with(&model, &stim, opts(Engine::Bc))
-                        .unwrap_or_else(|e| panic!("{name}: bc run failed: {e}"));
-                    let frames = cmd_run_with(&model, &stim, opts(Engine::Frames))
-                        .unwrap_or_else(|e| panic!("{name}: frames run failed: {e}"));
+                    let got = cmd_run_with(&model, &stim, opts)
+                        .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
                     assert_eq!(
-                        bc, frames,
-                        "{name}: transcript diverged at seed={seed} shards={shards} jobs={jobs}"
+                        got, want,
+                        "{name}: transcript drifted at seed={seed} shards={shards} jobs={jobs}"
                     );
                 }
             }
@@ -65,10 +74,17 @@ fn disk_models_are_byte_identical_across_engines() {
     }
 }
 
-/// The bench workload generators, driven through the sharded engine with
-/// the full execution trace (not just the observable transcript)
-/// compared event for event.
-fn workload_cases() -> Vec<(Domain, TestCase)> {
+/// FNV-1a digest of a rendered trace.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The bench workload generators, driven through the sharded engine, with
+/// their closed-form dispatch counts and the digests of their rendered
+/// traces at shards 1, 2 and 4.
+fn workload_cases() -> Vec<(Domain, TestCase, usize, [u64; 3])> {
     let mut pipeline = TestCase::new("pipeline-4");
     for k in 0..4 {
         pipeline.create(&format!("Stage{k}"));
@@ -80,27 +96,53 @@ fn workload_cases() -> Vec<(Domain, TestCase)> {
         pipeline.inject(i, 0, "Feed", vec![Value::Int(i as i64)]);
     }
     vec![
-        (pipeline_domain(4).expect("pipeline builds"), pipeline),
-        (xtuml_bench::workloads::fanout_domain(3), fanout_case(3, 4)),
-        (xtuml_bench::workloads::ring_domain(4), ring_case(4, 9)),
+        // Every feed is consumed once per stage.
+        (
+            pipeline_domain(4).expect("pipeline builds"),
+            pipeline,
+            8 * 4,
+            [
+                0x01cc_dcbe_651b_3ccf,
+                0x8131_5797_374a_0f1c,
+                0x0b5a_d955_68be_d1fa,
+            ],
+        ),
+        // Each burst: the dispatcher, then one `Work` and one `Done`
+        // per worker.
+        (
+            xtuml_bench::workloads::fanout_domain(3),
+            fanout_case(3, 4),
+            4 * (1 + 2 * 3),
+            [
+                0x33e1_e34d_a4cb_380b,
+                0xe150_9a0f_3fcd_e45c,
+                0x5651_51fa_9ae5_47e5,
+            ],
+        ),
+        // One token, hops 9 down to 0.
+        (
+            xtuml_bench::workloads::ring_domain(4),
+            ring_case(4, 9),
+            10,
+            [0xad61_2e4e_4501_c3c4; 3],
+        ),
+        // Every core counts its tick down from 6 to 0.
         (
             xtuml_bench::workloads::manycore_domain(4),
             manycore_case(4, 6),
+            4 * 7,
+            [
+                0xb254_e789_49cc_c97f,
+                0xf53c_ef73_2762_1506,
+                0xf8b4_49d0_510c_a94a,
+            ],
         ),
     ]
 }
 
-fn run_trace(
-    domain: &Domain,
-    tc: &TestCase,
-    engine: Engine,
-    seed: u64,
-    shards: usize,
-    jobs: usize,
-) -> (u64, xtuml_exec::Trace) {
-    let policy = SchedPolicy::seeded(seed).with_shards(shards);
+fn run_trace(domain: &Domain, tc: &TestCase, shards: usize, jobs: usize) -> Trace {
+    let policy = SchedPolicy::seeded(0).with_shards(shards);
     let mut sim = ShardedSimulation::with_policy(domain, policy);
-    sim.set_engine(engine);
     let insts: Vec<_> = tc
         .creates
         .iter()
@@ -114,19 +156,31 @@ fn run_trace(
             .expect("inject");
     }
     sim.run_to_quiescence(jobs).expect("run");
-    (sim.now(), sim.trace().clone())
+    sim.trace().clone()
 }
 
 #[test]
-fn workload_traces_are_event_identical_across_engines() {
-    for (domain, tc) in workload_cases() {
-        for shards in SHARDS {
+fn workload_traces_match_closed_form_dispatch_counts() {
+    for (domain, tc, dispatches, digests) in workload_cases() {
+        for (shards, want) in SHARDS.into_iter().zip(digests) {
+            let trace = run_trace(&domain, &tc, shards, 1);
+            assert_eq!(
+                trace.dispatch_count(),
+                dispatches,
+                "{}: dispatch count at shards={shards}",
+                tc.name
+            );
+            assert_eq!(
+                digest(&trace.render(&domain)),
+                want,
+                "{}: rendered trace drifted at shards={shards}",
+                tc.name
+            );
             for jobs in JOBS {
-                let bc = run_trace(&domain, &tc, Engine::Bc, 0, shards, jobs);
-                let frames = run_trace(&domain, &tc, Engine::Frames, 0, shards, jobs);
                 assert_eq!(
-                    bc, frames,
-                    "{}: trace diverged at shards={shards} jobs={jobs}",
+                    run_trace(&domain, &tc, shards, jobs),
+                    trace,
+                    "{}: trace depends on jobs at shards={shards} jobs={jobs}",
                     tc.name
                 );
             }
@@ -135,21 +189,56 @@ fn workload_traces_are_event_identical_across_engines() {
 }
 
 #[test]
-fn engine_choice_never_leaks_into_the_unflagged_default() {
-    // The default engine is the VM; a plain run must keep printing the
-    // bytes every release printed.
-    let model = read("models/doorbell.xtuml");
-    let stim = read("models/doorbell.stim");
-    let default = cmd_run_with(&model, &stim, RunOptions::default()).unwrap();
-    let explicit = cmd_run_with(
-        &model,
-        &stim,
-        RunOptions {
-            engine: Engine::Bc,
-            ..RunOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(default, explicit);
-    assert_eq!(RunOptions::default().engine, Engine::Bc);
+fn unflagged_run_prints_the_pinned_doorbell_transcript() {
+    // A plain run must keep printing the bytes every release printed.
+    let (_, model, stim, want) = disk_cases().remove(0);
+    assert_eq!(
+        cmd_run_with(&model, &stim, RunOptions::default()).unwrap(),
+        want
+    );
+}
+
+/// A model whose only action has 65,536 frame slots (one per event
+/// parameter), one more than the VM's u16 operands address, with a
+/// script that creates an instance and sends it that event.
+fn unencodable_model() -> (String, String) {
+    const SLOTS: usize = u16::MAX as usize + 1;
+    let params: Vec<String> = (0..SLOTS).map(|i| format!("p{i}: int")).collect();
+    let model = format!(
+        "domain Wide;\nclass C {{ event Go({}); initial S;\n\
+         state S {{ }} state T {{ }}\non S: Go -> T; }}\n",
+        params.join(", ")
+    );
+    let stim = format!("create c C\nat 0 c Go {}\n", vec!["0"; SLOTS].join(" "));
+    (model, stim)
+}
+
+#[test]
+fn an_unencodable_action_loads_and_fails_at_dispatch_with_x0016() {
+    let (model, stim) = unencodable_model();
+    let domain = xtuml_lang::parse_domain(&model).expect("the model is valid");
+    let mut sim = xtuml_exec::Simulation::new(&domain);
+    let c = sim.create("C").expect("the model loads");
+    sim.inject(0, c, "Go", vec![Value::Int(0); u16::MAX as usize + 1])
+        .expect("inject");
+    let err = sim.run_to_quiescence().unwrap_err().to_string();
+    assert!(err.contains("X0016") && err.contains("u16"), "{err}");
+
+    // The CLI reports the same error and exits non-zero.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let (model_path, stim_path) = (dir.join("wide.xtuml"), dir.join("wide.stim"));
+    std::fs::write(&model_path, &model).unwrap();
+    std::fs::write(&stim_path, &stim).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtuml"))
+        .arg("run")
+        .arg(&model_path)
+        .arg(&stim_path)
+        .output()
+        .expect("the xtuml binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "run must fail: {stderr}");
+    assert!(
+        stderr.contains("X0016") && stderr.contains("u16"),
+        "{stderr}"
+    );
 }

@@ -9,7 +9,7 @@
 //! change altered observable behavior.
 
 use std::path::Path;
-use xtuml::fuzz::{load_dir, replay, Ablation, CaseOutcome, Engine};
+use xtuml::fuzz::{load_dir, replay, Ablation, CaseOutcome};
 
 fn corpus() -> Vec<xtuml::fuzz::CorpusEntry> {
     let entries = load_dir(Path::new("models/fuzz-corpus")).expect("corpus dir is readable");
@@ -22,15 +22,8 @@ fn corpus_replays_clean_under_defined_semantics() {
     for e in corpus() {
         // Checkpointing on: corpus replay doubles as a snapshot/restore
         // conformance check on real minimized witnesses.
-        let outcome = replay(
-            &e.model,
-            &e.marks,
-            &e.stim,
-            Ablation::None,
-            Engine::Bc,
-            true,
-        )
-        .unwrap_or_else(|err| panic!("{}: replay failed: {err}", e.name));
+        let outcome = replay(&e.model, &e.marks, &e.stim, Ablation::None, true)
+            .unwrap_or_else(|err| panic!("{}: replay failed: {err}", e.name));
         assert!(
             !outcome.is_failure(),
             "{}: expected a clean replay, got: {}",
@@ -43,15 +36,8 @@ fn corpus_replays_clean_under_defined_semantics() {
 #[test]
 fn corpus_reproduces_divergence_under_pair_order_fault() {
     for e in corpus() {
-        let outcome = replay(
-            &e.model,
-            &e.marks,
-            &e.stim,
-            Ablation::PairOrder,
-            Engine::Bc,
-            false,
-        )
-        .unwrap_or_else(|err| panic!("{}: replay failed: {err}", e.name));
+        let outcome = replay(&e.model, &e.marks, &e.stim, Ablation::PairOrder, false)
+            .unwrap_or_else(|err| panic!("{}: replay failed: {err}", e.name));
         assert!(
             matches!(outcome, CaseOutcome::Divergence { .. }),
             "{}: the minimized witness no longer reproduces; got: {}",

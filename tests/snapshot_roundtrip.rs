@@ -284,3 +284,95 @@ fn corrupt_and_truncated_snapshots_are_structured_errors() {
         let _ = Simulation::restore(&domain, &flipped);
     }
 }
+
+/// Offset of the executor tag in both engines' snapshots: magic (4),
+/// version (4), kind (1), domain fingerprint (8), then the policy — seed
+/// (8), three flags (3), shard count (4).
+const EXECUTOR_TAG: usize = 32;
+
+/// Tag `1` (the bytecode VM) is what every snapshot writes; tag `0` was
+/// written by runs on the retired compiled-frame walker, whose traces
+/// were byte-identical, so it restores onto the VM too. Any other tag is
+/// corrupt input.
+fn check_executor_tags<S>(
+    bytes: &[u8],
+    restore: impl Fn(&[u8]) -> Result<S, SnapError>,
+    finish: impl Fn(S) -> (xtuml_exec::Trace, Vec<u8>),
+    want: &(xtuml_exec::Trace, Vec<u8>),
+) {
+    assert_eq!(bytes[EXECUTOR_TAG], 1, "snapshots write the VM tag");
+    for tag in [0u8, 1] {
+        let mut b = bytes.to_vec();
+        b[EXECUTOR_TAG] = tag;
+        let sim = restore(&b).unwrap_or_else(|e| panic!("tag {tag}: {e}"));
+        assert!(
+            finish(sim) == *want,
+            "tag {tag}: run diverged after restore"
+        );
+    }
+    for tag in [2u8, 3, 255] {
+        let mut b = bytes.to_vec();
+        b[EXECUTOR_TAG] = tag;
+        assert!(
+            matches!(restore(&b), Err(SnapError::Corrupt(_))),
+            "tag {tag} must be a corrupt snapshot"
+        );
+    }
+}
+
+#[test]
+fn executor_tags_restore_onto_the_vm_or_fail_as_corrupt() {
+    // Sequential: cut mid-run, at a point with work still pending.
+    let spec = generate(0);
+    let domain = spec.lower().unwrap();
+    let tc = spec.testcase();
+    let mut reference = setup_seq(&domain, &tc);
+    let mut total = 0u64;
+    while reference.step().expect("reference step") {
+        total += 1;
+    }
+    assert!(total >= 2, "the case must leave work after the cut");
+    let want = (reference.trace().clone(), reference.snapshot());
+    let mut sim = setup_seq(&domain, &tc);
+    for _ in 0..total / 2 {
+        assert!(sim.step().expect("step before cut"));
+    }
+    check_executor_tags(
+        &sim.snapshot(),
+        |b| Simulation::restore(&domain, b),
+        |mut s| {
+            s.run_to_quiescence().expect("restored run");
+            (s.trace().clone(), s.snapshot())
+        },
+        &want,
+    );
+
+    // Sharded: paused at the first epoch barrier of an admitted model.
+    let (domain, tc, residues) = (0..FUZZ_SEEDS)
+        .find_map(|seed| {
+            let spec = generate(seed);
+            let domain = spec.lower().unwrap();
+            let plan = xtuml_core::effects::analyze(&domain);
+            let coloc: Vec<AssocId> = plan.coloc_assocs.iter().copied().collect();
+            let residues = coloc_residues(&domain, &coloc);
+            let tc = spec.testcase();
+            let mut probe = setup_sharded(&domain, &tc, &residues, 2);
+            let pauses = plan.admitted() && probe.run_epochs(1, 1).expect("epoch").is_none();
+            pauses.then_some((domain, tc, residues))
+        })
+        .expect("some generated model pauses at an epoch barrier");
+    let mut reference = setup_sharded(&domain, &tc, &residues, 2);
+    reference.run_to_quiescence(1).expect("reference run");
+    let want = (reference.trace().clone(), reference.snapshot());
+    let mut sim = setup_sharded(&domain, &tc, &residues, 2);
+    assert!(sim.run_epochs(1, 1).expect("epoch").is_none());
+    check_executor_tags(
+        &sim.snapshot(),
+        |b| ShardedSimulation::restore(&domain, b),
+        |mut s| {
+            s.run_to_quiescence(1).expect("restored run");
+            (s.trace().clone(), s.snapshot())
+        },
+        &want,
+    );
+}

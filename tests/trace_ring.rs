@@ -3,7 +3,7 @@
 //! The packed trace ring replaced the per-dispatch `TraceEvent` enum
 //! push; its contract is that nothing downstream can tell. This suite
 //! locks three faces of that contract across the checked-in fuzz corpus
-//! for engines {frames, bc} × shard counts {1, 2, 4}:
+//! at shard counts {1, 2, 4}:
 //!
 //! 1. `Trace::render` over the ring is byte-identical to the legacy
 //!    formatter applied to the materialized `TraceEvent` stream;
@@ -16,9 +16,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use xtuml_core::Domain;
-use xtuml_exec::{
-    Engine, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent, TraceMode,
-};
+use xtuml_exec::{SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent, TraceMode};
 use xtuml_fuzz::{generate, load_dir, parse_stim};
 use xtuml_lang::parse_domain;
 use xtuml_verify::TestCase;
@@ -62,12 +60,10 @@ fn setup<'d>(
     domain: &'d Domain,
     tc: &TestCase,
     shards: usize,
-    engine: Engine,
     mode: TraceMode,
 ) -> ShardedSimulation<'d> {
     let policy = SchedPolicy::seeded(SEED).with_shards(shards);
     let mut sim = ShardedSimulation::with_policy(domain, policy);
-    sim.set_engine(engine);
     sim.set_trace_mode(mode);
     let mut handles = Vec::with_capacity(tc.creates.len());
     for class in &tc.creates {
@@ -199,36 +195,30 @@ fn legacy_render(trace: &Trace, domain: &Domain) -> String {
 #[test]
 fn ring_render_is_byte_identical_to_legacy_event_render() {
     for (name, domain, tc) in &cases() {
-        let mut renders = Vec::new();
-        for engine in [Engine::Frames, Engine::Bc] {
-            for &shards in shard_counts(domain) {
-                let mut sim = setup(domain, tc, shards, engine, TraceMode::Full);
-                sim.run_to_quiescence(1)
-                    .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
-                let direct = sim.trace().render(domain);
-                let reference = legacy_render(sim.trace(), domain);
-                assert_eq!(
-                    direct, reference,
-                    "{name}: ring render diverges from the legacy event render \
-                     (engine {engine:?}, {shards} shards)"
-                );
-                renders.push((engine, shards, direct));
-            }
-        }
-        // Engines are pure mechanism: for a given shard count the render
-        // must not depend on frames vs bc.
+        let mut sequential = None;
         for &shards in shard_counts(domain) {
-            let of = |eng: Engine| {
-                renders
-                    .iter()
-                    .find(|(e, s, _)| *e == eng && *s == shards)
-                    .map(|(_, _, r)| r.clone())
-                    .expect("rendered above")
-            };
+            let mut sim = setup(domain, tc, shards, TraceMode::Full);
+            sim.run_to_quiescence(1)
+                .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
+            let direct = sim.trace().render(domain);
+            let reference = legacy_render(sim.trace(), domain);
             assert_eq!(
-                of(Engine::Frames),
-                of(Engine::Bc),
-                "{name}: engines disagree at {shards} shards"
+                direct, reference,
+                "{name}: ring render diverges from the legacy event render ({shards} shards)"
+            );
+            // Shard counts change the schedule, not the work: every run
+            // dispatches what the shards=1 run dispatched and emits the
+            // same per-actor observables.
+            let run = (sim.trace().dispatch_count(), sim.trace().observable(domain));
+            let (dispatches, observable) = sequential.get_or_insert_with(|| run.clone());
+            assert_eq!(
+                run.0, *dispatches,
+                "{name}: dispatch count at {shards} shards"
+            );
+            let report = xtuml_verify::check_equivalence(observable, &run.1);
+            assert!(
+                report.is_equivalent(),
+                "{name}: observables at {shards} shards differ from shards=1: {report:?}"
             );
         }
     }
@@ -237,71 +227,67 @@ fn ring_render_is_byte_identical_to_legacy_event_render() {
 #[test]
 fn sequential_snapshot_roundtrips_mid_ring() {
     for (name, domain, tc) in &cases() {
-        for engine in [Engine::Frames, Engine::Bc] {
-            // Reference: the uninterrupted sequential run.
-            let mut reference = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
-            reference.set_engine(engine);
-            let mut handles = Vec::with_capacity(tc.creates.len());
-            for class in &tc.creates {
-                handles.push(reference.create(class).expect("create"));
-            }
-            for (a, b, assoc) in &tc.relates {
-                reference
-                    .relate(handles[*a], handles[*b], assoc)
-                    .expect("relate");
-            }
-            let mut stims = tc.stimuli.clone();
-            stims.sort_by_key(|s| s.time);
-            for s in &stims {
-                reference
-                    .inject(s.time, handles[s.inst], &s.event, s.args.clone())
-                    .expect("inject");
-            }
-            let mut total = 0u64;
-            while reference.step().expect("reference step") {
-                total += 1;
-                assert!(total < 1_000_000, "{name}: runaway reference run");
-            }
-
-            // Cut mid-ring: the snapshot serializes a partially-filled
-            // ring (records plus payload/function side tables); restore
-            // must rebuild it and continue byte-identically.
-            let mut sim = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
-            sim.set_engine(engine);
-            let mut handles = Vec::with_capacity(tc.creates.len());
-            for class in &tc.creates {
-                handles.push(sim.create(class).expect("create"));
-            }
-            for (a, b, assoc) in &tc.relates {
-                sim.relate(handles[*a], handles[*b], assoc).expect("relate");
-            }
-            for s in &stims {
-                sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-                    .expect("inject");
-            }
-            for _ in 0..total / 2 {
-                assert!(sim.step().expect("step before cut"));
-            }
-            let bytes = sim.snapshot();
-            let mut restored =
-                Simulation::restore(domain, &bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
-            while restored.step().expect("restored step") {}
-            assert_eq!(
-                restored.trace(),
-                reference.trace(),
-                "{name}: restored trace diverges (engine {engine:?})"
-            );
-            assert_eq!(
-                restored.trace().render(domain),
-                reference.trace().render(domain),
-                "{name}: restored render diverges (engine {engine:?})"
-            );
-            assert_eq!(
-                restored.snapshot(),
-                reference.snapshot(),
-                "{name}: re-snapshot"
-            );
+        // Reference: the uninterrupted sequential run.
+        let mut reference = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
+        let mut handles = Vec::with_capacity(tc.creates.len());
+        for class in &tc.creates {
+            handles.push(reference.create(class).expect("create"));
         }
+        for (a, b, assoc) in &tc.relates {
+            reference
+                .relate(handles[*a], handles[*b], assoc)
+                .expect("relate");
+        }
+        let mut stims = tc.stimuli.clone();
+        stims.sort_by_key(|s| s.time);
+        for s in &stims {
+            reference
+                .inject(s.time, handles[s.inst], &s.event, s.args.clone())
+                .expect("inject");
+        }
+        let mut total = 0u64;
+        while reference.step().expect("reference step") {
+            total += 1;
+            assert!(total < 1_000_000, "{name}: runaway reference run");
+        }
+
+        // Cut mid-ring: the snapshot serializes a partially-filled
+        // ring (records plus payload/function side tables); restore
+        // must rebuild it and continue byte-identically.
+        let mut sim = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
+        let mut handles = Vec::with_capacity(tc.creates.len());
+        for class in &tc.creates {
+            handles.push(sim.create(class).expect("create"));
+        }
+        for (a, b, assoc) in &tc.relates {
+            sim.relate(handles[*a], handles[*b], assoc).expect("relate");
+        }
+        for s in &stims {
+            sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
+                .expect("inject");
+        }
+        for _ in 0..total / 2 {
+            assert!(sim.step().expect("step before cut"));
+        }
+        let bytes = sim.snapshot();
+        let mut restored =
+            Simulation::restore(domain, &bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        while restored.step().expect("restored step") {}
+        assert_eq!(
+            restored.trace(),
+            reference.trace(),
+            "{name}: restored trace diverges"
+        );
+        assert_eq!(
+            restored.trace().render(domain),
+            reference.trace().render(domain),
+            "{name}: restored render diverges"
+        );
+        assert_eq!(
+            restored.snapshot(),
+            reference.snapshot(),
+            "{name}: re-snapshot"
+        );
     }
 }
 
@@ -309,10 +295,10 @@ fn sequential_snapshot_roundtrips_mid_ring() {
 fn trace_off_records_nothing_but_execution_is_unchanged() {
     for (name, domain, tc) in &cases() {
         for &shards in shard_counts(domain) {
-            let mut full = setup(domain, tc, shards, Engine::Bc, TraceMode::Full);
+            let mut full = setup(domain, tc, shards, TraceMode::Full);
             full.run_to_quiescence(1)
                 .unwrap_or_else(|e| panic!("{name}: full run failed: {e}"));
-            let mut off = setup(domain, tc, shards, Engine::Bc, TraceMode::Off);
+            let mut off = setup(domain, tc, shards, TraceMode::Off);
             off.run_to_quiescence(1)
                 .unwrap_or_else(|e| panic!("{name}: off run failed: {e}"));
             assert_eq!(off.trace().len(), 0, "{name}: off-mode ring not empty");
