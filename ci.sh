@@ -77,6 +77,17 @@ cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
 cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
     --shards 4 --jobs 2 > target/run-par-2.txt
 cmp target/run-par-1.txt target/run-par-2.txt
+# The one-shard path runs the setup simulation in place: the unflagged
+# run must match an explicit `--shards 1` on more workers and with a
+# recorder attached (`--metrics` adds one `wrote` line to the transcript).
+cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
+    > target/run-seq.txt
+cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
+    --shards 1 --jobs 2 > target/run-seq-2.txt
+cmp target/run-seq.txt target/run-seq-2.txt
+cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
+    --shards 1 --metrics target/run-seq.jsonl | grep -v '^wrote ' > target/run-seq-m.txt
+cmp target/run-seq.txt target/run-seq-m.txt
 cargo run --quiet --release -- fuzz --seeds 200 --jobs 4 > target/fuzz-smoke-par.txt
 cmp target/fuzz-smoke-1.txt target/fuzz-smoke-par.txt
 

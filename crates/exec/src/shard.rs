@@ -21,9 +21,10 @@
 //! `policy.seed`, and the barrier merge is order-deterministic. The
 //! worker count (`--jobs`) only decides how many shards execute
 //! *concurrently* between barriers — the merged trace is byte-identical
-//! whether the shards run on one thread or eight. `shards == 1`
-//! delegates to the classic sequential [`Simulation`], so the historical
-//! single-seed traces are preserved exactly.
+//! whether the shards run on one thread or eight. Setup is held in one
+//! classic sequential [`Simulation`]; `shards == 1` runs it in place, so
+//! the historical single-seed traces are preserved exactly and the model
+//! is compiled once.
 //!
 //! Not every model is shardable. [`shard_safety`] consults the
 //! whole-model effect analysis (`xtuml_core::effects`) before any thread
@@ -36,7 +37,7 @@
 //! confined to a single navigated association whose links are
 //! shard-colocated. That last rule is a *runtime* precondition: the run
 //! re-checks the setup links at the actual shard count and silently
-//! delegates to the sequential engine when it fails (see
+//! runs the setup [`Simulation`] sequentially when it fails (see
 //! [`ShardedSimulation::runtime_fallback`]), keeping the trace a pure
 //! function of `(seed, shards)`. Structure mutation
 //! (`delete`/`relate`/`unrelate`) and irreconcilable non-self access
@@ -325,33 +326,31 @@ impl ShardState {
 /// `relate`, `inject`), then [`ShardedSimulation::run_to_quiescence`]
 /// executes epochs with a caller-supplied worker count.
 ///
+/// Setup lives in one [`Simulation`], so both schedulers share one
+/// compiled program, one store, one trace and one stimulus list.
 /// A `ShardedSimulation` runs once: setup closes when the run starts,
 /// and a call after the run finished returns at once (DESIGN §15).
 ///
-/// With `policy.shards <= 1` the run delegates to the sequential
-/// [`Simulation`], reproducing historical traces exactly. With more
+/// With `policy.shards <= 1` the run executes that setup `Simulation` in
+/// place, so its trace is the sequential engine's exactly. With more
 /// shards the trace is a pure function of `(seed, shards)` — see the
 /// module docs for the guarantee and [`shard_safety`] for the model
 /// classes this engine accepts.
 pub struct ShardedSimulation<'d> {
-    prog: Program<'d>,
-    policy: SchedPolicy,
-    store: ObjectStore,
-    /// Setup-time relate calls, in call order (for sequential replay).
+    /// The setup state, and the whole engine when the run is sequential.
+    /// A sharded run clones its store into the replicas, takes its
+    /// pending stimuli, merges every epoch's trace into its trace and
+    /// advances its time.
+    sim: Simulation<'d>,
+    /// Setup-time relate calls, in call order (for the runtime
+    /// colocation check).
     setup_links: Vec<(InstId, InstId, AssocId)>,
-    /// Setup stimuli in injection order, until the run takes them.
-    stimuli: Vec<Stimulus>,
-    /// Stimuli injected during setup; differs from `stimuli.len()` once
-    /// the run has taken them.
-    setup_seq: u64,
-    max_steps: u64,
-    trace: Trace,
-    dropped: u64,
-    now: u64,
     /// Attached telemetry recorder; `None` (the default) costs one
-    /// predictable branch per instrumented site. Shard workers record
-    /// into per-shard forks absorbed back in shard-id order, so the
-    /// merged snapshot is a pure function of `(seed, shards)`.
+    /// predictable branch per instrumented site. Held here, not in the
+    /// setup `Simulation`, so setup is counted once, at run start. Shard
+    /// workers record into per-shard forks absorbed back in shard-id
+    /// order, so the merged snapshot is a pure function of
+    /// `(seed, shards)`.
     obs: Option<Box<Recorder>>,
     /// Why the last run delegated to the sequential engine at runtime
     /// despite static admission (a colocation precondition failed for
@@ -365,9 +364,9 @@ pub struct ShardedSimulation<'d> {
 impl std::fmt::Debug for ShardedSimulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSimulation")
-            .field("domain", &self.prog.domain.name)
-            .field("policy", &self.policy)
-            .field("live", &self.store.live_count())
+            .field("domain", &self.sim.prog.domain.name)
+            .field("policy", &self.sim.policy)
+            .field("live", &self.sim.core.store.live_count())
             .finish_non_exhaustive()
     }
 }
@@ -376,16 +375,8 @@ impl<'d> ShardedSimulation<'d> {
     /// Creates a sharded simulation with an explicit policy.
     pub fn with_policy(domain: &'d Domain, policy: SchedPolicy) -> ShardedSimulation<'d> {
         ShardedSimulation {
-            prog: Program::new(domain),
-            policy: policy.with_shards(policy.shards),
-            store: ObjectStore::new(domain.associations.len()),
+            sim: Simulation::with_policy(domain, policy.with_shards(policy.shards)),
             setup_links: Vec::new(),
-            stimuli: Vec::new(),
-            setup_seq: 0,
-            max_steps: 10_000_000,
-            trace: Trace::new(),
-            dropped: 0,
-            now: 0,
             obs: None,
             runtime_fallback: None,
             engine_state: None,
@@ -395,7 +386,7 @@ impl<'d> ShardedSimulation<'d> {
     /// Attaches a telemetry recorder. Setup already performed still
     /// counts: the run snapshots population/stimulus totals at start.
     pub fn attach_recorder(&mut self, rec: Recorder) {
-        self.prog.attach(&mut self.obs, rec);
+        self.sim.prog.attach(&mut self.obs, rec);
     }
 
     /// Detaches and returns the recorder (with everything absorbed),
@@ -406,23 +397,23 @@ impl<'d> ShardedSimulation<'d> {
 
     /// The domain being executed.
     pub fn domain(&self) -> &'d Domain {
-        self.prog.domain
+        self.sim.domain()
     }
 
     /// The execution trace accumulated so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.sim.trace()
     }
 
     /// Current simulation time (ticks; epochs advance by their critical
     /// path in sharded runs).
     pub fn now(&self) -> u64 {
-        self.now
+        self.sim.now()
     }
 
     /// Number of events dropped in non-strict mode.
     pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        self.sim.dropped_events()
     }
 
     /// Why the last [`ShardedSimulation::run_to_quiescence`] delegated
@@ -437,14 +428,14 @@ impl<'d> ShardedSimulation<'d> {
 
     /// Caps the total number of dispatch steps per run.
     pub fn set_max_steps(&mut self, max: u64) {
-        self.max_steps = max;
+        self.sim.set_max_steps(max);
     }
 
     /// Selects how much the trace ring records (default
     /// [`TraceMode::Full`]). [`TraceMode::Off`] must never be used in
     /// differential or golden comparisons.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
-        self.trace.set_mode(mode);
+        self.sim.set_trace_mode(mode);
         // A restored mid-run engine already has live shard replicas.
         if let Some(st) = self.engine_state.as_mut() {
             for s in st.shards.iter_mut() {
@@ -453,11 +444,13 @@ impl<'d> ShardedSimulation<'d> {
         }
     }
 
-    /// Whether the run has started: it is paused at a barrier, or it has
-    /// taken the setup stimuli. Derived only from state the snapshot
-    /// carries, so a restored simulation agrees with the original.
+    /// Whether the run has started: it is paused at a barrier, or some
+    /// injected stimulus has left the setup `Simulation` (taken by the
+    /// sharded run, or delivered by the sequential one). Derived only
+    /// from state the snapshot carries, so a restored simulation agrees
+    /// with the original.
     fn started(&self) -> bool {
-        self.engine_state.is_some() || self.stimuli.len() as u64 != self.setup_seq
+        self.engine_state.is_some() || self.sim.stimuli.len() as u64 != self.sim.route.send_seq
     }
 
     /// Fails once the run has started: setup made then would never reach
@@ -477,11 +470,8 @@ impl<'d> ShardedSimulation<'d> {
     ///
     /// Fails if the class is unknown or the run has started.
     pub fn create(&mut self, class: &str) -> Result<InstId> {
-        let id = self.prog.domain.class_id(class)?;
         self.setup_open("create an instance")?;
-        let inst = self.store.create(self.prog.domain, id);
-        self.trace.push_create(0, inst, id);
-        Ok(inst)
+        self.sim.create(class)
     }
 
     /// Relates two instances during setup.
@@ -491,9 +481,9 @@ impl<'d> ShardedSimulation<'d> {
     /// Propagates store errors (multiplicity, class mismatch, dangling);
     /// fails if the run has started.
     pub fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
-        let id = self.prog.domain.assoc_id(assoc)?;
         self.setup_open("relate instances")?;
-        self.store.relate(self.prog.domain, a, b, id)?;
+        self.sim.relate(a, b, assoc)?;
+        let id = self.sim.prog.domain.assoc_id(assoc)?;
         self.setup_links.push((a, b, id));
         Ok(())
     }
@@ -505,25 +495,22 @@ impl<'d> ShardedSimulation<'d> {
     /// Fails on unknown events, dead instances, arity mismatches or past
     /// times, and once the run has started.
     pub fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
-        let event = dispatch::resolve_stimulus(
-            self.prog.domain,
-            &self.store,
-            self.now,
-            time,
-            inst,
-            event,
-            args.len(),
-        )?;
-        self.setup_open("inject a stimulus")?;
-        self.setup_seq += 1;
-        self.stimuli.push(Stimulus {
-            time,
-            seq: self.setup_seq,
-            to: inst,
-            event,
-            args: Arc::from(args),
-        });
-        Ok(())
+        if let Err(closed) = self.setup_open("inject a stimulus") {
+            // A bad stimulus (a past time, above all) fails as it would
+            // on the sequential engine before the closed setup does.
+            let s = &self.sim;
+            dispatch::resolve_stimulus(
+                s.prog.domain,
+                &s.core.store,
+                s.core.now,
+                time,
+                inst,
+                event,
+                args.len(),
+            )?;
+            return Err(closed);
+        }
+        self.sim.inject(time, inst, event, args)
     }
 
     /// Runs epochs until quiescence, distributing shards over `jobs`
@@ -556,8 +543,8 @@ impl<'d> ShardedSimulation<'d> {
     /// A call after the run finished returns `Some(0)` and changes
     /// nothing.
     ///
-    /// Two delegation paths run the sequential engine to completion and
-    /// return `Some` regardless of `max_epochs`: `policy.shards <= 1`,
+    /// Two paths run the setup [`Simulation`] in place, to completion,
+    /// and return `Some` regardless of `max_epochs`: `policy.shards <= 1`,
     /// and the colocation-precondition fallback
     /// ([`ShardedSimulation::runtime_fallback`]).
     ///
@@ -568,54 +555,46 @@ impl<'d> ShardedSimulation<'d> {
     /// barrier, so the paused engine is dropped.
     pub fn run_epochs(&mut self, jobs: usize, max_epochs: u64) -> Result<Option<u64>> {
         let max_epochs = max_epochs.max(1);
+        let nshards = self.sim.policy.shards;
         if self.engine_state.is_none() {
             if self.started() {
                 return Ok(Some(0));
             }
             self.runtime_fallback = None;
-            if self.policy.shards <= 1 {
-                return self.run_sequential().map(Some);
+            if nshards > 1 {
+                shard_safety(self.sim.prog.domain)?;
+                self.runtime_fallback = self.colocation_violation();
             }
-            shard_safety(self.prog.domain)?;
-            let nshards = self.policy.shards;
+            let sequential = nshards <= 1 || self.runtime_fallback.is_some();
 
-            // Runtime leg of the colocation admission rule: the static
-            // pass admitted access through these associations on the
-            // promise that every link keeps both endpoints on one shard.
-            // Check the actual setup links at the actual shard count; on
-            // violation, delegate to the sequential engine (the trace
-            // stays a pure function of `(seed, shards)` — this check
-            // depends on nothing else).
-            let plan = xtuml_core::effects::analyze(self.prog.domain);
-            for &assoc in &plan.coloc_assocs {
-                if let Some(&(a, b, _)) = self
-                    .setup_links
-                    .iter()
-                    .find(|&&(a, b, r)| r == assoc && a.index() % nshards != b.index() % nshards)
-                {
-                    self.runtime_fallback = Some(format!(
-                        "association `{}` links {a} and {b} across shards at shards={nshards}; \
-                         colocation precondition failed, running sequentially",
-                        self.prog.domain.association(assoc).name
-                    ));
-                    if let Some(r) = self.obs.as_mut() {
-                        r.count(Counter::ShardFallbacks, 1);
-                    }
-                    return self.run_sequential().map(Some);
-                }
-            }
-
-            // Telemetry: admission and setup totals, then the run-level
-            // span. The sharded setup methods never touch the recorder,
-            // so totals recorded here match what a plain `Simulation`
-            // counts at its call sites.
+            // Telemetry: admission and setup totals. The setup methods
+            // never touch the recorder, so totals recorded here match
+            // what a plain `Simulation` counts at its call sites (setup
+            // creates and never deletes).
             if let Some(r) = self.obs.as_mut() {
-                r.count(Counter::ShardAdmitted, 1);
-                let live = self.store.live_count() as u64;
+                if self.runtime_fallback.is_some() {
+                    r.count(Counter::ShardFallbacks, 1);
+                } else if !sequential {
+                    r.count(Counter::ShardAdmitted, 1);
+                }
+                let live = self.sim.core.store.live_count() as u64;
                 r.count(Counter::InstancesCreated, live);
                 r.gauge_max(Gauge::LiveInstancesMax, live);
-                r.count(Counter::StimuliInjected, self.stimuli.len() as u64);
-                r.gauge_max(Gauge::StimulusHeapMax, self.stimuli.len() as u64);
+                let pending = self.sim.stimuli.len() as u64;
+                r.count(Counter::StimuliInjected, pending);
+                r.gauge_max(Gauge::StimulusHeapMax, pending);
+            }
+
+            if sequential {
+                // Run the setup simulation in place, recording into the
+                // attached recorder.
+                self.sim.core.obs = self.obs.take();
+                let run = self.sim.run_to_quiescence();
+                self.obs = self.sim.core.obs.take();
+                return run.map(Some);
+            }
+
+            if let Some(r) = self.obs.as_mut() {
                 if r.spans_enabled() {
                     let track = r.track;
                     r.span_begin(track, "sim", "sharded_run");
@@ -628,19 +607,18 @@ impl<'d> ShardedSimulation<'d> {
                     // stream_seed even for shard 0: stream_seed(base, 0)
                     // != base, so a sharded run never replays the
                     // unsharded schedule by accident.
-                    let rng = SplitMix64::new(stream_seed(self.policy.seed, id as u64));
+                    let rng = SplitMix64::new(stream_seed(self.sim.policy.seed, id as u64));
                     // Instance ids are dense: setup never deletes.
-                    let mail = Mailboxes::with_len(self.store.id_space());
+                    let mail = Mailboxes::with_len(self.sim.core.store.id_space());
                     let obs = self.obs.as_ref().map(|r| Box::new(r.fork_shard(id as u32)));
-                    self.replica(id, self.store.clone(), mail, rng, 0, obs)
+                    self.replica(id, self.sim.core.store.clone(), mail, rng, 0, obs)
                 })
                 .collect();
 
-            let mut stimuli = std::mem::take(&mut self.stimuli);
-            stimuli.sort_by_key(|s| (s.time, s.seq));
+            self.sim.sort_stimuli();
             self.engine_state = Some(EngineState {
                 shards,
-                stimuli: stimuli.into(),
+                stimuli: std::mem::take(&mut self.sim.stimuli),
                 timers: Vec::new(),
                 total_steps: 0,
                 epoch_no: 0,
@@ -648,7 +626,7 @@ impl<'d> ShardedSimulation<'d> {
         }
 
         let pool = Pool::new(jobs);
-        let nshards = self.policy.shards;
+        let max_steps = self.sim.max_steps;
         // Taken out for the duration of the call: an error drops the
         // engine (see above), success either pauses (putting it back) or
         // finishes (dropping it).
@@ -661,7 +639,7 @@ impl<'d> ShardedSimulation<'d> {
             // same instant — setup seqs and shard-derived timer seqs
             // come from different counters, so the kind tag is what
             // keeps the order total and deterministic.
-            let now = self.now;
+            let now = self.sim.core.now;
             let mut due: Vec<DueDelivery> = Vec::new();
             while st.stimuli.front().is_some_and(|s| s.time <= now) {
                 let s = st.stimuli.pop_front().expect("peeked above");
@@ -711,8 +689,8 @@ impl<'d> ShardedSimulation<'d> {
                     .chain(st.stimuli.front().map(|s| s.time))
                     .min();
                 match next {
-                    Some(t) if t > self.now => {
-                        self.now = t;
+                    Some(t) if t > now => {
+                        self.sim.core.now = t;
                         continue;
                     }
                     Some(_) => continue,
@@ -723,14 +701,14 @@ impl<'d> ShardedSimulation<'d> {
             // 3. Run every shard to local quiescence, in parallel. Each
             // shard carries the remaining global dispatch budget so a
             // never-quiescing local cycle errors inside the epoch.
-            let remaining = self.max_steps.saturating_sub(st.total_steps);
+            let remaining = max_steps.saturating_sub(st.total_steps);
             st.epoch_no += 1;
             for s in st.shards.iter_mut() {
-                s.core.now = self.now;
+                s.core.now = now;
                 s.step_budget = remaining;
                 s.epoch = st.epoch_no;
             }
-            let prog = &self.prog;
+            let prog = &self.sim.prog;
             let epoch_t0 = self.obs.is_some().then(std::time::Instant::now);
             let mut null = NullSink;
             let sink: &mut dyn Sink = match self.obs.as_mut() {
@@ -746,8 +724,8 @@ impl<'d> ShardedSimulation<'d> {
             // lowest-id shard's error (deterministic across jobs).
             let mut epoch_dispatches = 0u64;
             for s in st.shards.iter_mut() {
-                self.trace.append(&mut s.core.trace);
-                self.dropped += s.core.dropped;
+                self.sim.core.trace.append(&mut s.core.trace);
+                self.sim.core.dropped += s.core.dropped;
                 s.core.dropped = 0;
                 epoch_dispatches = epoch_dispatches.max(s.dispatches);
                 st.total_steps += s.dispatches;
@@ -780,11 +758,11 @@ impl<'d> ShardedSimulation<'d> {
                 r.timing.epochs_timed += 1;
             }
             outcomes.into_iter().collect::<Result<Vec<()>>>()?;
-            if st.total_steps > self.max_steps {
+            if st.total_steps > max_steps {
                 if let Some(r) = self.obs.as_mut() {
                     r.count(Counter::BudgetExhausted, 1);
                 }
-                return Err(dispatch::livelock(self.max_steps));
+                return Err(dispatch::livelock(max_steps));
             }
 
             // 5. Route outboxes: source shards in id order, each
@@ -829,7 +807,7 @@ impl<'d> ShardedSimulation<'d> {
 
             // 7. Advance time by the epoch's critical path: the busiest
             // shard's dispatch count (all shards ran concurrently).
-            self.now += epoch_dispatches.max(1);
+            self.sim.core.now += epoch_dispatches.max(1);
 
             // Pause at the barrier once the epoch budget is spent. Every
             // shard's epoch-local buffers were drained above, so this is
@@ -857,6 +835,29 @@ impl<'d> ShardedSimulation<'d> {
         Ok(Some(st.total_steps))
     }
 
+    /// Runtime leg of the colocation admission rule: the static pass
+    /// admitted access through these associations on the promise that
+    /// every link keeps both endpoints on one shard. Checks the actual
+    /// setup links at the actual shard count and says why the run must
+    /// be sequential on violation — a pure function of the setup and
+    /// `shards`, so the trace stays one of `(seed, shards)`.
+    fn colocation_violation(&self) -> Option<String> {
+        let domain = self.sim.prog.domain;
+        let nshards = self.sim.policy.shards;
+        let plan = xtuml_core::effects::analyze(domain);
+        plan.coloc_assocs.iter().find_map(|&assoc| {
+            let &(a, b, _) = self
+                .setup_links
+                .iter()
+                .find(|&&(a, b, r)| r == assoc && a.index() % nshards != b.index() % nshards)?;
+            Some(format!(
+                "association `{}` links {a} and {b} across shards at shards={nshards}; \
+                 colocation precondition failed, running sequentially",
+                domain.association(assoc).name
+            ))
+        })
+    }
+
     /// One shard replica over `store` and `mail` — the single place a
     /// [`ShardState`] is built, at run start and on restore.
     fn replica(
@@ -869,71 +870,30 @@ impl<'d> ShardedSimulation<'d> {
         obs: Option<Box<Recorder>>,
     ) -> ShardState {
         let mut core = Core::new(
-            &self.policy,
+            &self.sim.policy,
             store,
             mail,
             rng,
-            Trace::with_mode(self.trace.mode()),
+            Trace::with_mode(self.sim.core.trace.mode()),
         );
-        core.now = self.now;
+        core.now = self.sim.core.now;
         core.obs = obs;
         ShardState {
             core,
             route: ShardRoute {
                 id,
-                nshards: self.policy.shards,
+                nshards: self.sim.policy.shards,
                 local_seq,
                 outbox: Vec::new(),
                 new_timers: Vec::new(),
                 cancels: Vec::new(),
             },
             dispatches: 0,
-            step_budget: self.max_steps,
-            max_steps: self.max_steps,
+            step_budget: self.sim.max_steps,
+            max_steps: self.sim.max_steps,
             epoch: 0,
             epoch_busy_ns: 0,
         }
-    }
-
-    /// The `shards == 1` path: replay setup into a classic sequential
-    /// [`Simulation`] so single-shard runs reproduce historical traces
-    /// byte-for-byte.
-    fn run_sequential(&mut self) -> Result<u64> {
-        let mut sim = Simulation::with_policy(self.prog.domain, self.policy);
-        sim.set_max_steps(self.max_steps);
-        // Hand the recorder to the inner simulation *before* replaying
-        // setup: the replayed creates/injects then count exactly where a
-        // plain instrumented `Simulation` counts them, so the shards==1
-        // snapshot is byte-identical to the sequential engine's.
-        if let Some(r) = self.obs.take() {
-            sim.attach_recorder(*r);
-        }
-        sim.set_trace_mode(self.trace.mode());
-        // Recreate the population in id order from the store (ids are
-        // dense and setup never deletes); the store — not the trace — is
-        // the source of truth so this works under `TraceMode::Off` too.
-        for i in 0..self.store.id_space() {
-            let id = InstId::new(i as u32);
-            let inst = sim.create_of(self.store.class_of(id)?);
-            debug_assert_eq!(inst, id);
-        }
-        for &(a, b, assoc) in &self.setup_links {
-            sim.relate_by(a, b, assoc)?;
-        }
-        let mut stimuli = std::mem::take(&mut self.stimuli);
-        stimuli.sort_by_key(|s| (s.time, s.seq));
-        for s in stimuli {
-            sim.schedule(s.time, s.to, s.event, s.args);
-        }
-        let run = sim.run_to_quiescence();
-        if let Some(r) = sim.take_recorder() {
-            self.obs = Some(Box::new(r));
-        }
-        let steps = run?;
-        self.dropped += sim.dropped_events();
-        self.now = sim.now();
-        self.trace = sim.trace().clone();
-        Ok(steps)
     }
 
     // -- snapshot / restore -------------------------------------------------
@@ -950,20 +910,24 @@ impl<'d> ShardedSimulation<'d> {
     /// uninterrupted run. Wall-clock telemetry (spans, `Timing`) and
     /// allocation caches are not captured, by design.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = dispatch::snap_begin(snapshot::KIND_SHARDED, &self.prog, &self.policy);
-        w.u64(self.max_steps);
-        w.u64(self.now);
-        w.u64(self.dropped);
-        w.u64(self.setup_seq);
-        self.store.snap_write(&mut w);
+        let sim = &self.sim;
+        let mut w = dispatch::snap_begin(snapshot::KIND_SHARDED, &sim.prog, &sim.policy);
+        w.u64(sim.max_steps);
+        w.u64(sim.core.now);
+        w.u64(sim.core.dropped);
+        w.u64(sim.route.send_seq);
+        sim.core.store.snap_write(&mut w);
         w.len(self.setup_links.len());
         for &(a, b, assoc) in &self.setup_links {
             w.u32(u32::from(a));
             w.u32(u32::from(b));
             w.u32(u32::from(assoc));
         }
-        dispatch::snap_write_stimuli(&mut w, self.stimuli.iter());
-        dispatch::snap_write_trace(&mut w, &self.trace);
+        // Pending setup stimuli in seq order, which is injection order.
+        let mut stimuli: Vec<&Stimulus> = sim.stimuli.iter().collect();
+        stimuli.sort_by_key(|s| s.seq);
+        dispatch::snap_write_stimuli(&mut w, stimuli.into_iter());
+        dispatch::snap_write_trace(&mut w, &sim.core.trace);
         match self.runtime_fallback.as_deref() {
             Some(why) => {
                 w.bool(true);
@@ -1018,37 +982,41 @@ impl<'d> ShardedSimulation<'d> {
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<ShardedSimulation<'d>> {
         let (mut r, policy) =
             dispatch::snap_open(bytes, domain, snapshot::KIND_SHARDED, "sharded-engine")?;
-        let mut sim = ShardedSimulation::with_policy(domain, policy);
+        let mut out = ShardedSimulation::with_policy(domain, policy);
+        let sim = &mut out.sim;
         sim.max_steps = r.u64()?;
-        sim.now = r.u64()?;
-        sim.dropped = r.u64()?;
-        sim.setup_seq = r.u64()?;
-        sim.store = ObjectStore::snap_read(&mut r)?;
+        sim.core.now = r.u64()?;
+        sim.core.dropped = r.u64()?;
+        sim.route.send_seq = r.u64()?;
+        sim.core.store = ObjectStore::snap_read(&mut r)?;
+        sim.core.mail = Mailboxes::with_len(sim.core.store.id_space());
         let nl = r.len(12)?;
-        sim.setup_links.reserve(nl);
+        out.setup_links.reserve(nl);
         for _ in 0..nl {
-            sim.setup_links.push((
+            out.setup_links.push((
                 InstId::new(r.u32()?),
                 InstId::new(r.u32()?),
                 AssocId::new(r.u32()?),
             ));
         }
-        sim.stimuli = dispatch::snap_read_stimuli(&mut r)?;
-        dispatch::snap_read_trace(&mut r, &mut sim.trace)?;
-        if r.bool()? {
-            sim.runtime_fallback = Some(r.str()?);
+        for s in dispatch::snap_read_stimuli(&mut r)? {
+            sim.stim_insert(s);
         }
-        sim.obs = dispatch::snap_read_recorder(&mut r)?;
+        dispatch::snap_read_trace(&mut r, &mut sim.core.trace)?;
+        if r.bool()? {
+            out.runtime_fallback = Some(r.str()?);
+        }
+        out.obs = dispatch::snap_read_recorder(&mut r)?;
         if r.bool()? {
             let total_steps = r.u64()?;
             let epoch_no = r.u64()?;
             let stimuli = dispatch::snap_read_stimuli(&mut r)?.into();
             let timers = dispatch::snap_read_timers(&mut r)?;
             let nshards = r.len(29)?;
-            if nshards != sim.policy.shards {
+            if nshards != out.sim.policy.shards {
                 return Err(SnapError::Corrupt(format!(
                     "{nshards} shard replicas for a policy of {} shards",
-                    sim.policy.shards
+                    out.sim.policy.shards
                 )));
             }
             let mut shards = Vec::with_capacity(nshards);
@@ -1059,7 +1027,7 @@ impl<'d> ShardedSimulation<'d> {
                 let local_seq = r.u64()?;
                 let obs = if r.bool()? {
                     let raw = snapshot::read_metrics(&mut r)?;
-                    let mut child = match sim.obs.as_deref() {
+                    let mut child = match out.obs.as_deref() {
                         Some(root) => root.fork_shard(id as u32),
                         None => {
                             let mut c = Recorder::new();
@@ -1072,9 +1040,9 @@ impl<'d> ShardedSimulation<'d> {
                 } else {
                     None
                 };
-                shards.push(sim.replica(id, store, mail, rng, local_seq, obs));
+                shards.push(out.replica(id, store, mail, rng, local_seq, obs));
             }
-            sim.engine_state = Some(EngineState {
+            out.engine_state = Some(EngineState {
                 shards,
                 stimuli,
                 timers,
@@ -1083,6 +1051,6 @@ impl<'d> ShardedSimulation<'d> {
             });
         }
         r.expect_end()?;
-        Ok(sim)
+        Ok(out)
     }
 }

@@ -25,7 +25,7 @@ use crate::trace::{Trace, TraceMode};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use xtuml_core::error::{CoreError, Result};
-use xtuml_core::ids::{ActorId, AssocId, ClassId, EventId, InstId};
+use xtuml_core::ids::{ActorId, ClassId, EventId, InstId};
 use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
@@ -36,9 +36,10 @@ pub type BridgeFn = Box<dyn FnMut(&str, &[Value]) -> Result<Value>>;
 /// The sequential side of the routing seam: every send is delivered at
 /// once, timers wait in one list, actions may change the population, and
 /// bridge calls reach registered handlers.
-struct SeqRoute {
+pub(crate) struct SeqRoute {
     timers: Vec<Timer>,
-    send_seq: u64,
+    /// The one sequence counter of stimuli, sends and timers.
+    pub(crate) send_seq: u64,
     bridges: BTreeMap<ActorId, BridgeFn>,
 }
 
@@ -87,17 +88,21 @@ impl Route for SeqRoute {
 
 /// An executing Executable UML model. See the crate-level example.
 pub struct Simulation<'d> {
-    prog: Program<'d>,
-    core: Core,
-    route: SeqRoute,
-    /// Pending external stimuli, kept sorted ascending by `(time, seq)`.
-    /// Injection is overwhelmingly in time order, so maintaining the
-    /// order on push is one back-element compare; delivery then streams
-    /// `pop_front` over contiguous memory instead of sifting a binary
-    /// heap per stimulus.
-    stimuli: VecDeque<Stimulus>,
-    policy: SchedPolicy,
-    max_steps: u64,
+    pub(crate) prog: Program<'d>,
+    pub(crate) core: Core,
+    pub(crate) route: SeqRoute,
+    /// Pending external stimuli, sorted ascending by `(time, seq)`
+    /// whenever the engine reads them. Injection appends, and one
+    /// back-element compare tells whether it kept the order; if not,
+    /// the next step sorts once ([`Simulation::sort_stimuli`]), so a
+    /// setup injected out of time order costs one sort, not a shift per
+    /// stimulus. Delivery then streams `pop_front` over contiguous memory
+    /// instead of sifting a binary heap per stimulus.
+    pub(crate) stimuli: VecDeque<Stimulus>,
+    /// Whether `stimuli` is in `(time, seq)` order.
+    stimuli_sorted: bool,
+    pub(crate) policy: SchedPolicy,
+    pub(crate) max_steps: u64,
 }
 
 impl std::fmt::Debug for Simulation<'_> {
@@ -134,6 +139,7 @@ impl<'d> Simulation<'d> {
                 bridges: BTreeMap::new(),
             },
             stimuli: VecDeque::new(),
+            stimuli_sorted: true,
             policy,
             max_steps: 10_000_000,
         }
@@ -218,11 +224,7 @@ impl<'d> Simulation<'d> {
     /// Fails if the class is unknown.
     pub fn create(&mut self, class: &str) -> Result<InstId> {
         let id = self.prog.domain.class_id(class)?;
-        Ok(self.create_of(id))
-    }
-
-    pub(crate) fn create_of(&mut self, class: ClassId) -> InstId {
-        self.core.create(self.prog.domain, &mut self.route, class)
+        Ok(self.core.create(self.prog.domain, &mut self.route, id))
     }
 
     /// Relates two instances across the named association.
@@ -232,11 +234,7 @@ impl<'d> Simulation<'d> {
     /// Propagates store errors (multiplicity, class mismatch, dangling).
     pub fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
         let id = self.prog.domain.assoc_id(assoc)?;
-        self.relate_by(a, b, id)
-    }
-
-    pub(crate) fn relate_by(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
-        self.core.store.relate(self.prog.domain, a, b, assoc)
+        self.core.store.relate(self.prog.domain, a, b, id)
     }
 
     /// Schedules an external stimulus: deliver `event` to `inst` at
@@ -257,17 +255,11 @@ impl<'d> Simulation<'d> {
             args.len(),
         )?;
         let args = self.core.payload(args);
-        self.schedule(time, inst, event, args);
-        Ok(())
-    }
-
-    /// Schedules a validated stimulus.
-    pub(crate) fn schedule(&mut self, time: u64, to: InstId, event: EventId, args: Arc<[Value]>) {
         let seq = self.route.next_seq();
         self.stim_insert(Stimulus {
             time,
             seq,
-            to,
+            to: inst,
             event,
             args,
         });
@@ -275,6 +267,7 @@ impl<'d> Simulation<'d> {
             o.count(Counter::StimuliInjected, 1);
             o.gauge_max(Gauge::StimulusHeapMax, self.stimuli.len() as u64);
         }
+        Ok(())
     }
 
     /// Reads an attribute by name.
@@ -322,30 +315,18 @@ impl<'d> Simulation<'d> {
             let track = o.track;
             o.span_begin(track, "sim", "run_to_quiescence");
         }
-        let r = self.run_to_quiescence_inner();
+        // One step past the cap is the first one that exceeds it.
+        let mut ran = 0u64;
+        let r = match self.run_steps(self.max_steps.saturating_add(1), &mut ran) {
+            Ok(true) => Ok(ran),
+            Ok(false) => Err(dispatch::livelock(self.max_steps)),
+            Err(e) => Err(e),
+        };
         if let Some(o) = self.core.obs.as_mut() {
             let track = o.track;
             o.span_end(track);
         }
         r
-    }
-
-    fn run_to_quiescence_inner(&mut self) -> Result<u64> {
-        let mut steps = 0u64;
-        let cap = self.max_steps.saturating_add(1);
-        loop {
-            self.superloop(cap, &mut steps)?;
-            if steps > self.max_steps {
-                return Err(dispatch::livelock(self.max_steps));
-            }
-            if !self.step()? {
-                return Ok(steps);
-            }
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(dispatch::livelock(self.max_steps));
-            }
-        }
     }
 
     /// Runs at most `budget - *steps` dispatch steps through the
@@ -406,6 +387,7 @@ impl<'d> Simulation<'d> {
     /// Same as [`Simulation::run_to_quiescence`], except `max_steps`
     /// does not apply (the budget is the cap).
     pub fn run_steps(&mut self, budget: u64, ran: &mut u64) -> Result<bool> {
+        self.sort_stimuli();
         loop {
             self.superloop(budget, ran)?;
             if *ran >= budget {
@@ -418,31 +400,13 @@ impl<'d> Simulation<'d> {
         }
     }
 
-    /// Runs until simulation time reaches `deadline` or quiescence.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run_to_quiescence`].
-    pub fn run_until(&mut self, deadline: u64) -> Result<u64> {
-        let mut steps = 0u64;
-        while self.core.now < deadline {
-            if !self.step()? {
-                break;
-            }
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(dispatch::livelock(self.max_steps));
-            }
-        }
-        Ok(steps)
-    }
-
     /// Performs one dispatch step; returns `false` at quiescence.
     ///
     /// # Errors
     ///
     /// Propagates action errors and strict-mode can't-happen events.
     pub fn step(&mut self) -> Result<bool> {
+        self.sort_stimuli();
         loop {
             // Pure signal traffic (no pending timer or stimulus) has
             // nothing to deliver; skip the scan entirely.
@@ -475,21 +439,26 @@ impl<'d> Simulation<'d> {
         }
     }
 
-    /// Inserts a stimulus, maintaining the `(time, seq)` sort. The
-    /// common case — injection in nondecreasing time order — is a
-    /// single compare against the back element.
-    fn stim_insert(&mut self, s: Stimulus) {
-        let in_order = self
+    /// Appends a stimulus, noting whether it broke the `(time, seq)`
+    /// order. The common case — injection in nondecreasing time order —
+    /// keeps it.
+    pub(crate) fn stim_insert(&mut self, s: Stimulus) {
+        self.stimuli_sorted &= self
             .stimuli
             .back()
             .is_none_or(|b| (b.time, b.seq) <= (s.time, s.seq));
-        if in_order {
-            self.stimuli.push_back(s);
-        } else {
-            let at = self
-                .stimuli
-                .partition_point(|q| (q.time, q.seq) < (s.time, s.seq));
-            self.stimuli.insert(at, s);
+        self.stimuli.push_back(s);
+    }
+
+    /// Restores the `(time, seq)` order of the pending stimuli after an
+    /// out-of-order injection. `seq` is unique, so the result is the
+    /// order sorted insertion would have kept.
+    pub(crate) fn sort_stimuli(&mut self) {
+        if !self.stimuli_sorted {
+            self.stimuli
+                .make_contiguous()
+                .sort_unstable_by_key(|s| (s.time, s.seq));
+            self.stimuli_sorted = true;
         }
     }
 
@@ -601,9 +570,10 @@ impl<'d> Simulation<'d> {
         self.core.store.snap_write(&mut w);
         dispatch::snap_write_mail(&mut w, &self.core.mail);
         dispatch::snap_write_timers(&mut w, &self.route.timers);
-        // The queue invariant keeps stimuli sorted by the total
-        // (time, seq) key, so plain iteration writes them in that order.
-        dispatch::snap_write_stimuli(&mut w, self.stimuli.iter());
+        // Pending stimuli in the total (time, seq) order delivery uses.
+        let mut stimuli: Vec<&Stimulus> = self.stimuli.iter().collect();
+        stimuli.sort_unstable_by_key(|s| (s.time, s.seq));
+        dispatch::snap_write_stimuli(&mut w, stimuli.into_iter());
         dispatch::snap_write_trace(&mut w, &self.core.trace);
         dispatch::snap_write_recorder(&mut w, self.core.obs.as_deref());
         w.finish()
@@ -634,8 +604,8 @@ impl<'d> Simulation<'d> {
         sim.core.store = ObjectStore::snap_read(&mut r)?;
         sim.core.mail = dispatch::snap_read_mail(&mut r, sim.core.store.id_space())?;
         sim.route.timers = dispatch::snap_read_timers(&mut r)?;
-        // Snapshots write stimuli in (time, seq) order; stim_insert keeps
-        // that invariant (and repairs a hand-edited snapshot).
+        // Snapshots write stimuli in (time, seq) order; stim_insert notes
+        // a hand-edited snapshot that breaks it, and the run repairs it.
         for s in dispatch::snap_read_stimuli(&mut r)? {
             sim.stim_insert(s);
         }
@@ -1025,6 +995,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_injection_delivers_by_time_then_injection() {
+        let d = counter_domain();
+        let mut sim = Simulation::new(&d);
+        let c = sim.create("Counter").unwrap();
+        for (time, event) in [(5, "Reset"), (0, "Bump"), (3, "Bump"), (0, "Bump")] {
+            sim.inject(time, c, event, vec![]).unwrap();
+        }
+        // The snapshot lists the stimuli in delivery order and restores
+        // to the same bytes.
+        let bytes = sim.snapshot();
+        assert_eq!(Simulation::restore(&d, &bytes).unwrap().snapshot(), bytes);
+        sim.run_to_quiescence().unwrap();
+        let order: Vec<(u64, u64)> = sim
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Dispatch { time, seq, .. } => Some((time, seq)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, vec![(0, 2), (1, 4), (3, 3), (5, 1)]);
+    }
+
+    #[test]
     fn max_steps_guards_livelock() {
         let mut b = DomainBuilder::new("m");
         b.class("Loop")
@@ -1115,19 +1109,5 @@ mod tests {
         let restored = Simulation::restore(&d, &bytes).unwrap();
         assert_eq!(restored.pending_stimuli(), 100);
         assert_eq!(restored.snapshot(), bytes);
-    }
-
-    #[test]
-    fn run_until_stops_at_deadline() {
-        let d = counter_domain();
-        let mut sim = Simulation::new(&d);
-        let c = sim.create("Counter").unwrap();
-        for i in 0..100 {
-            sim.inject(i, c, "Bump", vec![]).unwrap();
-        }
-        sim.run_until(10).unwrap();
-        assert!(sim.now() >= 10);
-        let n = sim.attr(c, "n").unwrap().as_int().unwrap();
-        assert!(n < 100);
     }
 }

@@ -84,7 +84,12 @@ fn sequential(domain: &Domain, n: usize) -> (u64, u64) {
 }
 
 fn sharded(domain: &Domain, n: usize) -> (u64, u64) {
-    let mut sim = ShardedSimulation::with_policy(domain, SchedPolicy::seeded(3).with_shards(4));
+    sharded_at(domain, n, 4)
+}
+
+fn sharded_at(domain: &Domain, n: usize, shards: usize) -> (u64, u64) {
+    let mut sim =
+        ShardedSimulation::with_policy(domain, SchedPolicy::seeded(3).with_shards(shards));
     for _ in 0..n {
         let c = sim.create("Core").unwrap();
         sim.inject(0, c, "Tick", vec![Value::Int(3)]).unwrap();
@@ -115,4 +120,18 @@ fn run_phase_allocations_do_not_scale_with_instances() {
             "{name}: run allocations grew from {small} to {big} between 1024 and 4096 cores"
         );
     }
+}
+
+#[test]
+fn one_shard_run_allocates_no_more_than_the_sequential_engine() {
+    // At one shard the sharded engine runs its setup simulation in
+    // place: no second compile of the model, no replay of the setup.
+    let domain = cores();
+    let (seq_steps, seq) = sequential(&domain, 1024);
+    let (one_steps, one) = sharded_at(&domain, 1024, 1);
+    assert_eq!(one_steps, seq_steps);
+    assert!(
+        one <= seq,
+        "shards=1 run allocated {one} times, the sequential engine {seq}"
+    );
 }

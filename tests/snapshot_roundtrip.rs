@@ -10,7 +10,7 @@
 //! a panic or a silently wrong simulation.
 
 use std::path::Path;
-use xtuml_core::{AssocId, Domain};
+use xtuml_core::{AssocId, Domain, Value};
 use xtuml_exec::{SchedPolicy, ShardedSimulation, Simulation, SnapError};
 use xtuml_fuzz::{generate, load_dir, parse_stim};
 use xtuml_lang::parse_domain;
@@ -375,4 +375,67 @@ fn executor_tags_restore_onto_the_vm_or_fail_as_corrupt() {
         },
         &want,
     );
+}
+
+/// 64-bit FNV-1a, so a snapshot's bytes pin as one number.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A four-stage pipeline with a recorder attached and its stimuli
+/// injected out of time order.
+fn pinned_setup(domain: &Domain, shards: usize) -> ShardedSimulation<'_> {
+    let mut sim =
+        ShardedSimulation::with_policy(domain, SchedPolicy::seeded(SEED).with_shards(shards));
+    sim.attach_recorder(xtuml_obs::Recorder::new());
+    let insts: Vec<_> = (0..4)
+        .map(|k| sim.create(&format!("Stage{k}")).expect("create"))
+        .collect();
+    for k in 0..3 {
+        sim.relate(insts[k], insts[k + 1], &format!("R{}", k + 1))
+            .expect("relate");
+    }
+    for (i, time) in [6u64, 0, 4, 1, 7, 2, 5, 3].into_iter().enumerate() {
+        sim.inject(time, insts[0], "Feed", vec![Value::Int(i as i64)])
+            .expect("inject");
+    }
+    sim
+}
+
+#[test]
+fn sharded_snapshot_bytes_are_pinned() {
+    // The kind-2 layout is a wire format (serve spools it, clients keep
+    // it): a pre-run snapshot at 1 and 4 shards and one taken at the
+    // first epoch barrier at 4 shards must keep these exact bytes, and
+    // each must restore to the uninterrupted run's final trace.
+    let domain = xtuml_core::builder::pipeline_domain(4).expect("pipeline");
+    // (shards, epochs run before the snapshot, (length, FNV-1a)).
+    let pins: [(usize, u64, (usize, u64)); 3] = [
+        (1, 0, (1321, 0x373f_8efd_0dfb_1c15)),
+        (4, 0, (1321, 0x8fa1_b1e5_16ef_a13e)),
+        (4, 1, (5112, 0xa729_36bf_7f7f_49ae)),
+    ];
+    for (shards, epochs, want) in pins {
+        let mut reference = pinned_setup(&domain, shards);
+        reference.run_to_quiescence(1).expect("reference run");
+        let mut sim = pinned_setup(&domain, shards);
+        if epochs > 0 {
+            assert!(sim.run_epochs(1, epochs).expect("epoch").is_none());
+        }
+        let bytes = sim.snapshot();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            want,
+            "shards {shards}, {epochs} epochs: snapshot bytes changed"
+        );
+        let mut back = ShardedSimulation::restore(&domain, &bytes).expect("restore");
+        back.run_to_quiescence(1).expect("restored run");
+        assert_eq!(
+            back.trace(),
+            reference.trace(),
+            "shards {shards}, {epochs} epochs"
+        );
+    }
 }
